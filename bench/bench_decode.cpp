@@ -18,18 +18,20 @@
 //
 // JSON records (--json): `backend` is "decode-map" / "decode-flat" for the
 // kernel rows and the engine name for the end-to-end rows; `sweeps` carries
-// the decode/move count, `seconds` the elapsed time, and `cost` the
-// resulting throughput in operations per second.
+// the decode/move count and `seconds` the elapsed time, so sweeps/seconds
+// is the throughput.  `cost` is 0 on every row: a rate is not a quality
+// figure, and bench_diff skips the quality check of rows without a cost.
 //
 // A third experiment behind --scaling: the subquadratic move loop across
 // the size axis (apte .. n300).  Per circuit it runs each tree backend's SA
 // with the full re-decode path and with the partial/incremental path from
 // the same seed — the trajectories must be bit-identical (checked via the
 // final cost), so the moves/sec ratio isolates the decode asymptotics —
-// and cross-checks the three LCS structures (Naive / Fenwick / Veb) against
-// each other the same way.  JSON rows: `backend` is flat-full /
-// flat-partial / seqpair-full / seqpair-incremental / lcs-naive /
-// lcs-fenwick / lcs-veb; `sweeps` carries moves tried, `cost` moves/sec.
+// and cross-checks the three LCS structures (Naive / Fenwick / Veb) as
+// full packs on one seeded move stream, which must place identically.
+// JSON rows: `backend` is flat-full / flat-partial / seqpair-full /
+// seqpair-incremental (`sweeps` = moves tried) and lcs-naive / lcs-fenwick
+// / lcs-veb (`sweeps` = packs).
 //
 // Flags: --json <path>, --smoke (small fixed counts for CI), --scaling.
 #include <cstdio>
@@ -44,6 +46,7 @@
 #include "bstar/pack.h"
 #include "engine/placement_engine.h"
 #include "io/corpus.h"
+#include "seqpair/packer.h"
 #include "seqpair/sa_placer.h"
 #include "util/bench_json.h"
 #include "util/stopwatch.h"
@@ -130,8 +133,59 @@ void addRate(BenchIo& io, const char* backend, const char* circuit,
   r.circuit = circuit;
   r.sweeps = moves;
   r.seconds = seconds;
-  r.cost = movesPerSec(moves, seconds);
   io.add(r);
+}
+
+/// LCS structure cross-check at the pack level: the three strategies run
+/// full `packSequencePairInto` packs on one seeded move stream and must
+/// place every pack identically.  Records packs/sec per strategy; returns
+/// the number of diverging strategies.
+int runLcsStrategies(BenchIo& io, const Circuit& c, const char* name) {
+  const std::size_t packs = io.smoke() ? 2000 : 20000;
+  const std::size_t n = c.moduleCount();
+  std::vector<Coord> w(n), h(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    w[m] = c.module(m).w;
+    h[m] = c.module(m).h;
+  }
+  struct {
+    PackStrategy strategy;
+    const char* backend;
+  } const lcs[] = {{PackStrategy::Naive, "lcs-naive"},
+                   {PackStrategy::Fenwick, "lcs-fenwick"},
+                   {PackStrategy::Veb, "lcs-veb"}};
+  int failures = 0;
+  Coord reference = 0;
+  for (const auto& l : lcs) {
+    Rng rng(1);  // same seed per strategy -> identical move streams
+    SequencePair sp = SequencePair::random(n, rng);
+    SeqPairPackScratch scratch;
+    Placement placed;
+    Coord check = 0;
+    Stopwatch clock;
+    for (std::size_t k = 0; k < packs; ++k) {
+      const std::size_t i = rng.index(n), j = rng.index(n);
+      if (rng.coin()) {
+        sp.swapAlphaAt(i, j);
+      } else {
+        sp.swapBetaAt(i, j);
+      }
+      packSequencePairInto(sp, w, h, l.strategy, scratch, placed);
+      check += checksum(placed);
+    }
+    const double seconds = clock.seconds();
+    if (l.strategy == PackStrategy::Naive) {
+      reference = check;
+    } else if (check != reference) {
+      std::fprintf(stderr,
+                   "bench_decode: %s: %s DIVERGED from the naive reference "
+                   "packs\n",
+                   name, l.backend);
+      ++failures;
+    }
+    addRate(io, l.backend, name, packs, seconds);
+  }
+  return failures;
 }
 
 /// --scaling: full vs partial/incremental decode per tree backend and LCS
@@ -181,27 +235,7 @@ int runScaling(BenchIo& io) {
       ++failures;
     }
 
-    // LCS structure cross-check: every strategy must ride the exact same
-    // trajectory (identical cost), whatever Auto resolved to above.
-    struct {
-      PackStrategy strategy;
-      const char* backend;
-    } const lcs[] = {{PackStrategy::Naive, "lcs-naive"},
-                     {PackStrategy::Fenwick, "lcs-fenwick"},
-                     {PackStrategy::Veb, "lcs-veb"}};
-    for (const auto& l : lcs) {
-      so.packing = l.strategy;
-      SeqPairPlacerResult r = placeSeqPairSA(c, so);
-      if (r.cost != spInc.cost) {
-        std::fprintf(stderr,
-                     "bench_decode: %s: %s DIVERGED from the Auto "
-                     "trajectory\n",
-                     name, l.backend);
-        ++failures;
-      }
-      addRate(io, l.backend, name, r.movesTried, r.seconds);
-    }
-    so.packing = PackStrategy::Auto;
+    failures += runLcsStrategies(io, c, name);
 
     double flatSpeed = flatFull.seconds > 0.0 && flatPart.seconds > 0.0
                            ? movesPerSec(flatPart.movesTried, flatPart.seconds) /
@@ -286,14 +320,12 @@ int main(int argc, char** argv) {
     mapRecord.circuit = corpusName(which);
     mapRecord.sweeps = decodes;
     mapRecord.seconds = mapKernel.seconds;
-    mapRecord.cost = mapKernel.decodesPerSec;
     io.add(mapRecord);
     BenchRecord flatRecord;
     flatRecord.backend = "decode-flat";
     flatRecord.circuit = corpusName(which);
     flatRecord.sweeps = decodes;
     flatRecord.seconds = flatKernel.seconds;
-    flatRecord.cost = flatKernel.decodesPerSec;
     io.add(flatRecord);
   }
   kernels.print(std::cout);
@@ -321,7 +353,6 @@ int main(int argc, char** argv) {
       record.circuit = corpusName(which);
       record.sweeps = r.movesTried;
       record.seconds = r.seconds;
-      record.cost = movesPerSec;
       io.add(record);
     }
   }

@@ -3,8 +3,10 @@
 // Section II cites an O(G * n log log n) per-evaluation bound obtained with
 // a van Emde Boas-style priority queue [26].  These benchmarks measure the
 // library's three sequence-pair packing structures (naive O(n^2), Fenwick
-// O(n log n), vEB O(n log log n)) across module counts, plus the B*-tree
-// contour packer, the symmetric placement builder, and raw vEB operations.
+// O(n log n), vEB O(n log log n)) across module counts, the small-n
+// Naive/Fenwick rows behind the Auto rule, plus the B*-tree contour packer,
+// the symmetric placement builder, and raw vEB operations.  Incremental
+// packs exist for Naive and Fenwick only (Veb maps to the Fenwick journal).
 #include <benchmark/benchmark.h>
 
 #include "bstar/pack.h"
@@ -48,8 +50,37 @@ void BM_SeqPairPackVeb(benchmark::State& state) {
   packBenchmark(state, PackStrategy::Veb);
 }
 BENCHMARK(BM_SeqPairPackNaive)->RangeMultiplier(2)->Range(16, 512)->Complexity();
-BENCHMARK(BM_SeqPairPackFenwick)->RangeMultiplier(2)->Range(16, 512)->Complexity();
-BENCHMARK(BM_SeqPairPackVeb)->RangeMultiplier(2)->Range(16, 512)->Complexity();
+BENCHMARK(BM_SeqPairPackFenwick)->RangeMultiplier(2)->Range(16, 4096)->Complexity();
+BENCHMARK(BM_SeqPairPackVeb)->RangeMultiplier(2)->Range(16, 4096)->Complexity();
+
+// The small-n Naive/Fenwick crossover of full packs on a warm scratch (the
+// decode loop's allocation profile); see resolvePackStrategy.
+void crossoverBenchmark(benchmark::State& state, PackStrategy strategy) {
+  std::size_t n = static_cast<std::size_t>(state.range(0));
+  Circuit c = circuitOf(n);
+  std::vector<Coord> w, h;
+  for (const Module& m : c.modules()) {
+    w.push_back(m.w);
+    h.push_back(m.h);
+  }
+  Rng rng(1);
+  SequencePair sp = SequencePair::random(n, rng);
+  SeqPairPackScratch scratch;
+  Placement out;
+  for (auto _ : state) {
+    packSequencePairInto(sp, w, h, strategy, scratch, out);
+    benchmark::DoNotOptimize(out);
+  }
+}
+
+void BM_SeqPairPackCrossoverNaive(benchmark::State& state) {
+  crossoverBenchmark(state, PackStrategy::Naive);
+}
+void BM_SeqPairPackCrossoverFenwick(benchmark::State& state) {
+  crossoverBenchmark(state, PackStrategy::Fenwick);
+}
+BENCHMARK(BM_SeqPairPackCrossoverNaive)->DenseRange(8, 16, 2)->Arg(24)->Arg(32);
+BENCHMARK(BM_SeqPairPackCrossoverFenwick)->DenseRange(8, 16, 2)->Arg(24)->Arg(32);
 
 void BM_SymmetricPlacementBuild(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -150,18 +181,15 @@ void BM_SeqPairPackIncrementalNaive(benchmark::State& state) {
 void BM_SeqPairPackIncrementalFenwick(benchmark::State& state) {
   incrementalPackBenchmark(state, PackStrategy::Fenwick);
 }
-void BM_SeqPairPackIncrementalVeb(benchmark::State& state) {
-  incrementalPackBenchmark(state, PackStrategy::Veb);
-}
+// n = 8..14: the small-n Naive/Fenwick comparison on the path the SA
+// placer runs, which sets resolvePackStrategy's Auto rule.
 BENCHMARK(BM_SeqPairPackIncrementalNaive)
+    ->DenseRange(8, 14, 2)
     ->RangeMultiplier(2)
     ->Range(16, 512)
     ->Complexity();
 BENCHMARK(BM_SeqPairPackIncrementalFenwick)
-    ->RangeMultiplier(2)
-    ->Range(16, 512)
-    ->Complexity();
-BENCHMARK(BM_SeqPairPackIncrementalVeb)
+    ->DenseRange(8, 14, 2)
     ->RangeMultiplier(2)
     ->Range(16, 512)
     ->Complexity();

@@ -83,8 +83,9 @@ echo "=== bench_decode --scaling: partial/incremental vs full re-decode ==="
 # The asymptotics gate: re-runs flat-bstar and seqpair on every corpus
 # circuit up to n300 with the suffix-only decode paths OFF and ON, verifies
 # the two trajectories are bit-identical (any divergence exits nonzero),
-# cross-checks all three LCS strategies against the incremental run, and
-# records moves/sec rows per (path, circuit) for bench_diff.
+# cross-checks all three LCS strategies as full packs on one seeded move
+# stream (any differing pack exits nonzero), and records moves/sec and
+# packs/sec rows per (path, circuit) for bench_diff.
 for rep in "" .r2 .r3; do
   ./build/bench_decode --scaling --smoke \
     --json "build/bench-smoke/bench_decode_scaling$rep.json" \
@@ -120,10 +121,13 @@ echo "=== als_replay --faults: chaos harness (crash/corruption recovery) ==="
 # in-process oracle); a full disk (memory-only degradation); _Exit crashes
 # in every store/reply window plus a SIGKILL mid-job (restart scrubs and
 # recovers); wall and sweep deadlines (best-so-far within one round, never
-# cached); backpressure with retry/backoff clients; and the size cap
-# (eviction keeps the store directory bounded).  No --json on purpose: the
-# chaos run measures recovery, not throughput, so it stays out of
-# bench_diff.
+# cached); backpressure with retry/backoff clients; the size cap (eviction
+# keeps the store directory bounded); and 256 one-shot STATS connections
+# to a daemon under ulimit -n 64 (STATS must still answer and the daemon's
+# /proc/<pid>/fd count must end where it started; a daemon that holds
+# finished connections stops answering after about 60).  No --json on
+# purpose: the chaos run measures recovery, not throughput, so it stays
+# out of bench_diff.
 ./build/als_replay --serve-bin ./build/als_serve --faults --check \
   > build/bench-smoke/bench_chaos.out
 
@@ -143,10 +147,11 @@ echo "=== bench_diff: throughput + quality vs committed BENCH_baseline.json ==="
 # baseline on intentional perf changes or hardware moves with:
 #   ./build/bench_diff --merge BENCH_baseline.json \
 #     build/bench-smoke/bench_decode*.json build/bench-smoke/als_place*.json \
-#     build/bench-smoke/bench_serve.json
+#     build/bench-smoke/bench_portfolio.json build/bench-smoke/bench_serve.json
 # (the glob picks up the bench_decode_scaling captures too, so the
-# full-vs-partial decode rows stay covered; bench_serve.json carries the
-# serve identity/quality rows and the service-level meta metrics) — then
+# full-vs-partial decode rows stay covered; bench_portfolio.json carries the
+# restart/tempering rows; bench_serve.json carries the serve identity/quality
+# rows and the service-level meta metrics) — then
 # regenerate the README tables: ./build/readme_tables
 for rep in 2 3; do
   ./build/bench_decode --smoke --json "build/bench-smoke/bench_decode.r$rep.json" \

@@ -46,10 +46,12 @@ struct FlatBStarOptions {
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;
   /// Re-decode only the changed B*-tree suffix per move (bit-identical to a
-  /// full re-decode; see packBStarPartialInto).  Off = the historical
-  /// full-redecode path, kept for the bench_decode scaling A/B and as a
-  /// trajectory-equivalence oracle in tests.
-  bool partialDecode = true;
+  /// full re-decode; see packBStarPartialInto).  Off by default: under this
+  /// placer's move mix a move changes most of the preorder, and
+  /// `bench_decode --scaling` measures the journaled suffix repack at about
+  /// 0.7-1.0x of a full repack from ami33 to n300.  On = the partial path,
+  /// kept for the scaling A/B and the partial == full trajectory suites.
+  bool partialDecode = false;
   FlatBStarScratch* scratch = nullptr;  ///< optional caller-owned buffers
   /// Cooperative cancellation, checked per sweep (anneal/annealer.h).
   const CancelToken* cancel = nullptr;

@@ -203,66 +203,9 @@ struct JournaledFenwick {
     // journaled — undo restores exactly the cells this step changed.
     for (std::size_t k = b + 1; k < st.fenwick.size(); k += k & (~k + 1)) {
       if (st.fenwick[k] < v) {
-        st.ops.push_back({k, st.fenwick[k], SweepOp::kFenWrote});
+        st.ops.push_back({k, st.fenwick[k]});
         st.fenwick[k] = v;
       }
-    }
-    st.opOfs.push_back(st.ops.size());
-  }
-};
-
-struct JournaledVeb {
-  SeqPairSweepState& st;
-  void reset(std::size_t n) {
-    st.vebPos.resetUniverse(n);
-    st.vebValue.assign(n, 0);
-    st.ops.clear();
-    st.opOfs.assign(1, 0);
-  }
-  void undoTo(std::size_t d) {
-    assert(d < st.opOfs.size());
-    for (std::size_t i = st.ops.size(); i > st.opOfs[d];) {
-      --i;
-      const SweepOp& op = st.ops[i];
-      switch (op.kind) {
-        case SweepOp::kVebErased:
-          st.vebPos.insert(op.pos);
-          st.vebValue[op.pos] = op.val;
-          break;
-        case SweepOp::kVebInserted:
-          st.vebPos.erase(op.pos);
-          break;
-        case SweepOp::kVebOverwrote:
-          st.vebValue[op.pos] = op.val;
-          break;
-        case SweepOp::kFenWrote:
-          assert(false && "fenwick op in veb journal");
-          break;
-      }
-    }
-    st.ops.resize(st.opOfs[d]);
-    st.opOfs.resize(d + 1);
-  }
-  Coord maxBelow(std::size_t p) const {
-    auto pred = st.vebPos.predecessor(p);
-    return pred ? st.vebValue[*pred] : 0;
-  }
-  Coord prefixMaxAt(std::size_t b) const { return maxBelow(b); }
-  void insertAt(std::size_t p, Coord v) {
-    // Mirrors VebStaircase::insert, journaling each structure mutation.
-    if (!(st.vebPos.contains(p) && st.vebValue[p] >= v) && maxBelow(p) < v) {
-      for (auto s = st.vebPos.successor(p); s && st.vebValue[*s] <= v;
-           s = st.vebPos.successor(p)) {
-        st.ops.push_back({*s, st.vebValue[*s], SweepOp::kVebErased});
-        st.vebPos.erase(*s);
-      }
-      if (!st.vebPos.contains(p)) {
-        st.vebPos.insert(p);
-        st.ops.push_back({p, 0, SweepOp::kVebInserted});
-      } else {
-        st.ops.push_back({p, st.vebValue[p], SweepOp::kVebOverwrote});
-      }
-      st.vebValue[p] = v;
     }
     st.opOfs.push_back(st.ops.size());
   }
@@ -325,7 +268,7 @@ void packSequencePairInto(const SequencePair& sp, std::span<const Coord> widths,
                           SeqPairPackScratch& scratch, Placement& out) {
   assert(widths.size() == sp.size() && heights.size() == sp.size());
   scratch.incValid = false;  // a full pack orphans any incremental state
-  switch (resolvePackStrategy(strategy, sp.size())) {
+  switch (resolvePackStrategy(strategy)) {
     case PackStrategy::Naive:
       packWithInto(sp, widths, heights,
                    [&] { return NaiveAdapter(scratch.naiveEntries); }, scratch,
@@ -356,7 +299,11 @@ void packSequencePairIncrementalInto(const SequencePair& sp,
                                      std::vector<std::size_t>& moved) {
   const std::size_t n = sp.size();
   assert(widths.size() == n && heights.size() == n);
-  const PackStrategy resolved = resolvePackStrategy(strategy, n);
+  // Only Naive and Fenwick keep an undo journal; Auto and Veb (identical
+  // coordinates) run the Fenwick one.
+  const PackStrategy resolved = strategy == PackStrategy::Naive
+                                    ? PackStrategy::Naive
+                                    : PackStrategy::Fenwick;
   const bool warm = scratch.incValid && scratch.incStrategy == resolved &&
                     scratch.xSweep.mod.size() == n &&
                     scratch.ySweep.mod.size() == n && out.size() == n &&
@@ -369,27 +316,16 @@ void packSequencePairIncrementalInto(const SequencePair& sp,
   const std::size_t movedStart = moved.size();
 
   scratch.rev.assign(sp.alpha().rbegin(), sp.alpha().rend());
-  switch (resolved) {
-    case PackStrategy::Naive:
-      sweepIncremental(scratch.xSweep, sp.alpha(), sp, widths, scratch.x,
-                       JournaledNaive{scratch.xSweep}, warm, moved);
-      sweepIncremental(scratch.ySweep, scratch.rev, sp, heights, scratch.y,
-                       JournaledNaive{scratch.ySweep}, warm, moved);
-      break;
-    case PackStrategy::Fenwick:
-      sweepIncremental(scratch.xSweep, sp.alpha(), sp, widths, scratch.x,
-                       JournaledFenwick{scratch.xSweep}, warm, moved);
-      sweepIncremental(scratch.ySweep, scratch.rev, sp, heights, scratch.y,
-                       JournaledFenwick{scratch.ySweep}, warm, moved);
-      break;
-    case PackStrategy::Veb:
-      sweepIncremental(scratch.xSweep, sp.alpha(), sp, widths, scratch.x,
-                       JournaledVeb{scratch.xSweep}, warm, moved);
-      sweepIncremental(scratch.ySweep, scratch.rev, sp, heights, scratch.y,
-                       JournaledVeb{scratch.ySweep}, warm, moved);
-      break;
-    case PackStrategy::Auto:
-      break;  // unreachable: resolvePackStrategy never returns Auto
+  if (resolved == PackStrategy::Naive) {
+    sweepIncremental(scratch.xSweep, sp.alpha(), sp, widths, scratch.x,
+                     JournaledNaive{scratch.xSweep}, warm, moved);
+    sweepIncremental(scratch.ySweep, scratch.rev, sp, heights, scratch.y,
+                     JournaledNaive{scratch.ySweep}, warm, moved);
+  } else {
+    sweepIncremental(scratch.xSweep, sp.alpha(), sp, widths, scratch.x,
+                     JournaledFenwick{scratch.xSweep}, warm, moved);
+    sweepIncremental(scratch.ySweep, scratch.rev, sp, heights, scratch.y,
+                     JournaledFenwick{scratch.ySweep}, warm, moved);
   }
   scratch.incValid = true;
   scratch.incStrategy = resolved;

@@ -34,10 +34,6 @@ struct SeqPairPlacerOptions {
   std::size_t maxSweeps = 256;     ///< primary budget: total SA sweeps (deterministic)
   double timeLimitSec = 0.0;       ///< secondary wall-clock cap (0 = uncapped)
   std::uint64_t seed = 7;
-  /// LCS pack strategy of the per-move decode; Auto resolves by instance
-  /// size (all strategies yield identical placements, so this only affects
-  /// speed, never the trajectory).
-  PackStrategy packing = PackStrategy::Auto;
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;  ///< 0 = auto
 

@@ -24,6 +24,7 @@
 #include <new>
 
 #include "bstar/from_placement.h"
+#include "bstar/pack.h"
 #include "engine/place_scratch.h"
 #include "engine/placement_engine.h"
 #include "io/corpus.h"
@@ -160,10 +161,11 @@ TEST_P(AllocGate, ThermalAndShapeWorkloadsDoNotAllocate) {
   expectZeroAllocsPerMove(GetParam(), opt);
 }
 
-/// Strategy-forced variant of the gate, below the engine layer: the Naive /
-/// Fenwick / Veb LCS structures (and the journaled incremental sweeps that
-/// reuse them) must each hold the zero-allocations-per-move contract, not
-/// just whatever Auto resolves to for the gate circuit.
+/// Strategy-forced variant of the gate, at the packer: the Naive / Fenwick
+/// / Veb / Auto full packs and the journaled incremental sweeps must each
+/// hold the zero-allocations-per-move contract on a warm scratch, not just
+/// whatever Auto resolves to inside the placer.  Incremental Veb runs the
+/// Fenwick journal (seqpair/packer.h), so Veb has a full-pack leg only.
 class AllocGateLcs : public ::testing::TestWithParam<PackStrategy> {};
 
 TEST_P(AllocGateLcs, SeqPairStrategyDoesNotAllocatePerMove) {
@@ -171,38 +173,44 @@ TEST_P(AllocGateLcs, SeqPairStrategyDoesNotAllocatePerMove) {
   GTEST_SKIP() << "debug asserts re-validate encodings (allocating); the "
                   "gate targets Release builds";
 #endif
-  // n100 puts Veb in its intended regime (Auto resolves to it at n >= 128
-  // only; forcing the strategy pins the structure under test).
   const Circuit circuit = loadCorpusCircuit(CorpusCircuit::N100);
-  SeqPairScratch scratch;
-  SeqPairPlacerOptions opt;
-  opt.scratch = &scratch;
-  opt.seed = 3;
-  opt.packing = GetParam();
+  const std::size_t n = circuit.moduleCount();
+  std::vector<Coord> w(n), h(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    w[m] = circuit.module(m).w;
+    h[m] = circuit.module(m).h;
+  }
+  const PackStrategy strategy = GetParam();
+  const bool incremental = strategy != PackStrategy::Veb;
+  Rng rng(3);
+  SequencePair sp = SequencePair::random(n, rng);
+  SeqPairPackScratch fullScratch, incScratch;
+  Placement fullOut, incOut;
+  std::vector<std::size_t> moved;
+  // One SA-shaped move (sequence swap or rotation) and its decodes.
+  auto step = [&] {
+    const std::size_t i = rng.index(n), j = rng.index(n);
+    switch (rng.index(3)) {
+      case 0: sp.swapAlphaAt(i, j); break;
+      case 1: sp.swapBetaAt(i, j); break;
+      default: std::swap(w[i], h[i]); break;
+    }
+    packSequencePairInto(sp, w, h, strategy, fullScratch, fullOut);
+    if (incremental) {
+      moved.clear();
+      packSequencePairIncrementalInto(sp, w, h, strategy, incScratch, incOut,
+                                      moved);
+    }
+  };
+  for (int k = 0; k < 64; ++k) step();  // warm every buffer
 
-  opt.maxSweeps = 12;
-  SeqPairPlacerResult warm = placeSeqPairSA(circuit, opt);
-
-  opt.maxSweeps = 6;
-  unsigned long long before = gAllocCount.load(std::memory_order_relaxed);
-  SeqPairPlacerResult shortRun = placeSeqPairSA(circuit, opt);
-  unsigned long long shortAllocs =
-      gAllocCount.load(std::memory_order_relaxed) - before;
-
-  opt.maxSweeps = 12;
-  before = gAllocCount.load(std::memory_order_relaxed);
-  SeqPairPlacerResult longRun = placeSeqPairSA(circuit, opt);
-  unsigned long long longAllocs =
-      gAllocCount.load(std::memory_order_relaxed) - before;
-
-  ASSERT_GT(longRun.movesTried, shortRun.movesTried);
-  EXPECT_EQ(longRun.cost, warm.cost);
-  const std::size_t extraMoves = longRun.movesTried - shortRun.movesTried;
-  EXPECT_EQ(longAllocs, shortAllocs)
-      << "strategy allocates "
-      << (static_cast<double>(longAllocs) - static_cast<double>(shortAllocs)) /
-             static_cast<double>(extraMoves)
-      << " times per move in steady state (" << extraMoves << " extra moves)";
+  const unsigned long long before = gAllocCount.load(std::memory_order_relaxed);
+  for (int k = 0; k < 256; ++k) step();
+  EXPECT_EQ(gAllocCount.load(std::memory_order_relaxed) - before, 0u)
+      << "a warm pack allocates in steady state";
+  if (incremental) {
+    EXPECT_TRUE(incOut.rects() == fullOut.rects());
+  }
 }
 
 /// PR 8 extension of the gate, one layer up: the tempering round loop.
@@ -305,6 +313,38 @@ TEST(AllocGateConvert, WarmConvertersDoNotAllocate) {
   bstarFromPlacement(source, bsScratch, tree);
   EXPECT_EQ(gAllocCount.load(std::memory_order_relaxed) - before, 0u)
       << "warm B*-tree conversion allocates";
+}
+
+// The flat placer's default decode is the full pack, which the engine-level
+// gate covers; the partial repack stays opt-in (FlatBStarOptions::
+// partialDecode) and keeps the same contract on its own.
+TEST(AllocGateBStar, WarmPartialRepackDoesNotAllocate) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "debug asserts re-validate encodings (allocating); the "
+                  "gate targets Release builds";
+#endif
+  const Circuit circuit = loadCorpusCircuit(CorpusCircuit::N100);
+  const std::size_t n = circuit.moduleCount();
+  std::vector<Coord> w(n), h(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    w[m] = circuit.module(m).w;
+    h[m] = circuit.module(m).h;
+  }
+  Rng rng(6);
+  BStarTree tree = BStarTree::random(n, rng);
+  BStarPackScratch scratch;
+  Placement out;
+  for (int k = 0; k < 64; ++k) {  // warm the record and the contour journal
+    tree.perturb(rng);
+    packBStarPartialInto(tree, w, h, scratch, out);
+  }
+  const unsigned long long before = gAllocCount.load(std::memory_order_relaxed);
+  for (int k = 0; k < 256; ++k) {
+    tree.perturb(rng);
+    packBStarPartialInto(tree, w, h, scratch, out);
+  }
+  EXPECT_EQ(gAllocCount.load(std::memory_order_relaxed) - before, 0u)
+      << "a warm partial repack allocates";
 }
 
 // The serve layer's steady-state loop (runtime/serve.h): a warm cache hit

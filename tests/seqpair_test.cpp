@@ -315,16 +315,56 @@ TEST(PackerIncremental, FenwickMatchesFullPack) {
   runIncrementalVsFull(PackStrategy::Fenwick, 61, 9, 120);
 }
 
-TEST(PackerIncremental, VebMatchesFullPack) {
+TEST(PackerIncremental, VebRunsTheFenwickJournal) {
+  // Incremental Veb is the Fenwick journal: it matches a full pack, and a
+  // Veb call resumes the journal a Fenwick call left, re-sweeping nothing
+  // when nothing changed.
   runIncrementalVsFull(PackStrategy::Veb, 6, 11, 120);
   runIncrementalVsFull(PackStrategy::Veb, 140, 13, 60);
+
+  Rng rng(13);
+  const std::size_t n = 140;
+  SequencePair sp = SequencePair::random(n, rng);
+  std::vector<Coord> w(n), h(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    w[m] = 1 + rng.uniformInt(0, 40);
+    h[m] = 1 + rng.uniformInt(0, 40);
+  }
+  SeqPairPackScratch scratch;
+  Placement out;
+  std::vector<std::size_t> moved;
+  packSequencePairIncrementalInto(sp, w, h, PackStrategy::Fenwick, scratch,
+                                  out, moved);
+  ASSERT_EQ(moved.size(), 2 * n);  // cold: both sweeps run in full
+  moved.clear();
+  packSequencePairIncrementalInto(sp, w, h, PackStrategy::Veb, scratch, out,
+                                  moved);
+  EXPECT_TRUE(moved.empty()) << "Veb did not resume the Fenwick journal";
+  EXPECT_EQ(scratch.incStrategy, PackStrategy::Fenwick);
 }
 
 TEST(PackerIncremental, AutoMatchesFullPackAcrossThresholds) {
-  // Auto resolves per size class; cover one n in each band.
+  // Auto is Fenwick at every size; cover small MCNC sizes and the GSRC
+  // sizes.
   runIncrementalVsFull(PackStrategy::Auto, 9, 15, 80);
-  runIncrementalVsFull(PackStrategy::Auto, 90, 17, 80);
+  runIncrementalVsFull(PackStrategy::Auto, 16, 17, 80);
   runIncrementalVsFull(PackStrategy::Auto, 150, 19, 60);
+  runIncrementalVsFull(PackStrategy::Auto, 300, 21, 30);
+}
+
+TEST(Packer, ResolvePackStrategyTable) {
+  struct {
+    PackStrategy requested;
+    PackStrategy expected;
+  } const table[] = {
+      {PackStrategy::Auto, PackStrategy::Fenwick},
+      {PackStrategy::Naive, PackStrategy::Naive},
+      {PackStrategy::Fenwick, PackStrategy::Fenwick},
+      {PackStrategy::Veb, PackStrategy::Veb},
+  };
+  for (const auto& row : table) {
+    EXPECT_EQ(resolvePackStrategy(row.requested), row.expected);
+  }
 }
 
 TEST(PackerIncremental, SurvivesStrategySwitchOnOneScratch) {
@@ -373,7 +413,6 @@ TEST(SymPlacerIncremental, MatchesLegacyPathOverSymmetricWalks) {
     SymBuildOptions opt;
     opt.incremental = true;
     opt.verify = false;
-    opt.packing = PackStrategy::Auto;
     opt.moved = &moved;
 
     Rng rng(61);
@@ -424,33 +463,6 @@ TEST(SaPlacer, IncrementalDecodeMatchesFullDecodeTrajectory) {
     ASSERT_EQ(a.hpwl, b.hpwl);
     for (std::size_t m = 0; m < a.placement.size(); ++m) {
       ASSERT_TRUE(a.placement[m] == b.placement[m]) << corpusName(which);
-    }
-  }
-}
-
-TEST(SaPlacer, PackStrategiesShareOneTrajectory) {
-  // Naive / Fenwick / Veb / Auto are interchangeable mid-anneal: identical
-  // cost values mean identical accept decisions, so the whole run matches.
-  Circuit c = loadCorpusCircuit(CorpusCircuit::Ami33);
-  SeqPairPlacerResult ref;
-  bool first = true;
-  for (PackStrategy s : {PackStrategy::Naive, PackStrategy::Fenwick,
-                         PackStrategy::Veb, PackStrategy::Auto}) {
-    SeqPairPlacerOptions opt;
-    opt.maxSweeps = 20;
-    opt.seed = 29;
-    opt.packing = s;
-    SeqPairPlacerResult r = placeSeqPairSA(c, opt);
-    if (first) {
-      ref = std::move(r);
-      first = false;
-      continue;
-    }
-    ASSERT_EQ(r.cost, ref.cost);
-    ASSERT_EQ(r.area, ref.area);
-    ASSERT_EQ(r.hpwl, ref.hpwl);
-    for (std::size_t m = 0; m < r.placement.size(); ++m) {
-      ASSERT_TRUE(r.placement[m] == ref.placement[m]);
     }
   }
 }

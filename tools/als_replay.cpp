@@ -32,8 +32,10 @@
 // and restarts the daemon mid-write, and drives deadline and backpressure
 // paths — asserting throughout that every completed job stays byte-
 // identical to the in-process oracle, corrupt entries are quarantined and
-// never served, the store honors its size cap, and deadline-expired jobs
-// report `deadline` within one progress round.
+// never served, the store honors its size cap, deadline-expired jobs
+// report `deadline` within one progress round, and 256 one-shot
+// connections under a 64-descriptor limit leave the daemon's descriptor
+// count where it started.
 //
 // Results go to stdout and, with --json, as bench_json records next to the
 // other bench-smoke captures: per-circuit quality rows (deterministic
@@ -47,6 +49,7 @@
 //   als_replay --serve-bin ./build/als_serve --check --clients 8
 //              [--json build/bench-smoke/bench_serve.json]
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -109,7 +112,8 @@ int usage(const char* argv0) {
                "                         standard phases (requires --serve-bin):\n"
                "                         store corruption, fault-injected ENOSPC\n"
                "                         and torn renames, daemon crash/restart,\n"
-               "                         deadlines, backpressure retry\n"
+               "                         deadlines, backpressure retry,\n"
+               "                         descriptor lifecycle under ulimit -n 64\n"
                "  --json <path>          bench_json records\n",
                argv0);
   return 2;
@@ -127,10 +131,13 @@ bool parseNum(const char* s, std::uint64_t* out) {
 
 // --- wire client ------------------------------------------------------------
 
+/// Writes all of `data` to socket `fd`.  A peer that went away is a false
+/// return, not a SIGPIPE: the harness must report a dead daemon, not die.
 bool sendAll(int fd, std::string_view data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
-    ssize_t n = ::write(fd, data.data() + sent, data.size() - sent);
+    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                       MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -465,7 +472,8 @@ std::vector<PhaseJobResult> runPhase(const std::string& socketPath,
 pid_t spawnDaemon(const std::string& bin, const std::string& socketPath,
                   const std::string& cacheDir, std::size_t workers,
                   std::size_t queue, std::size_t progressInterval,
-                  std::size_t cacheCap = 0, const std::string& faults = {}) {
+                  std::size_t cacheCap = 0, const std::string& faults = {},
+                  rlim_t nofile = 0) {
   std::vector<std::string> args = {
       bin,           "--socket",
       socketPath,    "--workers",
@@ -486,6 +494,10 @@ pid_t spawnDaemon(const std::string& bin, const std::string& socketPath,
   }
   pid_t pid = ::fork();
   if (pid != 0) return pid;
+  if (nofile > 0) {  // as `ulimit -n <nofile>` would
+    const rlimit limit{nofile, nofile};
+    ::setrlimit(RLIMIT_NOFILE, &limit);
+  }
   std::vector<char*> argvp;
   argvp.reserve(args.size() + 1);
   for (std::string& a : args) argvp.push_back(a.data());
@@ -516,12 +528,13 @@ bool writeFile(const std::string& path, std::string_view data) {
   return ok;
 }
 
+/// Entries of `dir` with extension `ext`; an empty `ext` counts them all.
 std::size_t countFiles(const std::string& dir, const char* ext) {
   std::error_code ec;
   std::size_t n = 0;
   std::filesystem::directory_iterator it(dir, ec), end;
   for (; !ec && it != end; it.increment(ec)) {
-    if (it->path().extension() == ext) ++n;
+    if (*ext == '\0' || it->path().extension() == ext) ++n;
   }
   return n;
 }
@@ -556,9 +569,10 @@ int runChaosHarness(const std::string& serveBin, EngineBackend backend,
 
   auto start = [&](const std::string& cacheDir, std::size_t workers,
                    std::size_t queue, std::size_t cap,
-                   const std::string& faults, ServeClient& client) -> pid_t {
+                   const std::string& faults, ServeClient& client,
+                   rlim_t nofile = 0) -> pid_t {
     pid_t pid = spawnDaemon(serveBin, socketPath, cacheDir, workers, queue,
-                            /*progressInterval=*/16, cap, faults);
+                            /*progressInterval=*/16, cap, faults, nofile);
     if (pid < 0 || !connectRetry(client, socketPath)) {
       fail("chaos: cannot spawn/connect daemon");
       if (pid > 0) ::kill(pid, SIGKILL);
@@ -938,6 +952,60 @@ int runChaosHarness(const std::string& serveBin, EngineBackend backend,
       std::printf("chaos-F size cap: 5 unique jobs, cap 3 -> %llu evicted, "
                   "%zu files on disk\n",
                   static_cast<unsigned long long>(s.evicted), files);
+    }
+  }
+
+  // --- phase G: descriptor lifecycle ---------------------------------------
+  // A memory-only daemon under a 64-descriptor limit (ulimit -n 64) serves
+  // 256 sequential one-shot STATS connections.  Each client fd must close
+  // when its client hangs up: STATS must still answer afterwards, and the
+  // daemon's /proc/<pid>/fd count must end within 4 of where it started.
+  // A daemon that holds finished connections runs out of descriptors after
+  // about 60 of them.
+  {
+    constexpr rlim_t kNofile = 64;
+    constexpr int kConnections = 256;
+    constexpr std::size_t kSlack = 4;
+    ServeClient c;
+    pid_t pid = start("", 1, 16, 0, "", c, kNofile);
+    if (pid > 0) {
+      const std::string fdDir = "/proc/" + std::to_string(pid) + "/fd";
+      const std::size_t fdStart = countFiles(fdDir, "");
+      int served = 0;
+      for (; served < kConnections; ++served) {
+        ServeClient once;
+        ServeStats s{};
+        if (!once.connect(socketPath) || !once.stats(s)) break;
+      }
+      ServeStats s{};
+      if (served < kConnections) {
+        fail("chaos-G: one-shot connection " + std::to_string(served + 1) +
+             " got no STATS reply");
+      } else if (!c.stats(s)) {
+        fail("chaos-G: STATS after " + std::to_string(kConnections) +
+             " one-shot connections");
+      }
+      // A handler closes its fd just after its client hangs up; give the
+      // last one a moment.
+      std::size_t fdEnd = countFiles(fdDir, "");
+      for (int i = 0; i < 100 && fdEnd > fdStart + kSlack; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        fdEnd = countFiles(fdDir, "");
+      }
+      if (fdEnd > fdStart + kSlack) {
+        fail("chaos-G: daemon holds " + std::to_string(fdEnd) +
+             " fds after " + std::to_string(served) +
+             " one-shot connections (started with " +
+             std::to_string(fdStart) + ")");
+      }
+      if (::waitpid(pid, nullptr, WNOHANG) == 0) {
+        stopClean(c, pid, "chaos-G");
+      } else {
+        fail("chaos-G: daemon exited before SHUTDOWN");
+      }
+      std::printf("chaos-G descriptors: %d one-shot connections under "
+                  "ulimit -n %d, daemon fds %zu -> %zu\n",
+                  served, static_cast<int>(kNofile), fdStart, fdEnd);
     }
   }
 

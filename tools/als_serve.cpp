@@ -12,7 +12,10 @@
 //
 //   als_serve --socket /tmp/als.sock --workers 4 --cache-dir /tmp/als-cache
 //
-// One handler thread per connection; a per-connection write mutex keeps the
+// One handler thread per connection, joined by the accept loop once its
+// client is done (the fd closes then, or when the connection's last
+// in-flight job reports); running out of descriptors makes accept() back
+// off, not shut the daemon down.  A per-connection write mutex keeps the
 // worker threads' PROGRESS/RESULT lines and the handler's QUEUED/STATS
 // replies whole (the protocol is tagged, so interleaving across jobs is
 // fine — interleaving within a line is not).  SHUTDOWN drains every
@@ -24,6 +27,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -454,34 +458,57 @@ int main(int argc, char** argv) {
                options.progressInterval,
                options.cacheDir.empty() ? "<memory>" : options.cacheDir.c_str());
 
-  std::mutex connMutex;
-  std::vector<std::shared_ptr<Connection>> connections;
-  std::vector<std::thread> handlers;
+  // One entry per handler thread.  Job callbacks share the connection, so
+  // the loop keeps only a weak reference: the client fd closes as soon as
+  // the handler and the connection's last in-flight job let go, and the
+  // next accept joins the finished thread.
+  struct Handler {
+    std::thread thread;
+    std::weak_ptr<Connection> conn;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+  std::vector<Handler> handlers;
+  auto reapFinished = [&handlers] {
+    for (auto it = handlers.begin(); it != handlers.end();) {
+      if (it->done->load()) {
+        it->thread.join();
+        it = handlers.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
   while (!g_stop.load()) {
     int fd = ::accept(g_listenFd, nullptr, nullptr);
+    reapFinished();
     if (fd < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE) {
+        // Out of descriptors: they come back as clients finish, so back off
+        // and keep serving instead of shutting down.
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
       break;  // listen socket shut down (SHUTDOWN) or fatal
     }
     auto conn = std::make_shared<Connection>(fd);
-    {
-      std::lock_guard<std::mutex> lock(connMutex);
-      connections.push_back(conn);
-    }
-    handlers.emplace_back(
-        [&engine, conn = std::move(conn)] { handleConnection(engine, conn); });
+    auto done = std::make_shared<std::atomic<bool>>(false);
+    std::weak_ptr<Connection> weak = conn;
+    std::thread thread([&engine, conn = std::move(conn), done]() mutable {
+      handleConnection(engine, std::move(conn));
+      done->store(true);
+    });
+    handlers.push_back({std::move(thread), std::move(weak), std::move(done)});
   }
 
   // Wake any handler still blocked in read() on a connection its client
   // left open, then drain: every accepted job delivers its RESULT (the
   // connections stay writable — only their read side is shut down).
-  {
-    std::lock_guard<std::mutex> lock(connMutex);
-    for (const auto& conn : connections) ::shutdown(conn->fd, SHUT_RD);
+  for (const Handler& h : handlers) {
+    if (auto conn = h.conn.lock()) ::shutdown(conn->fd, SHUT_RD);
   }
-  for (std::thread& t : handlers) t.join();
+  for (Handler& h : handlers) h.thread.join();
   engine.shutdown();
-  connections.clear();
   ::close(g_listenFd);
   ::unlink(socketPath.c_str());
   std::fprintf(stderr, "als_serve: bye\n");
