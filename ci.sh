@@ -22,6 +22,18 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
+echo "=== Debug build: the assert-only bit-identity oracles ==="
+# Tier-1 builds Release and the sanitizer legs build RelWithDebInfo; all
+# three define NDEBUG, which compiles out the debug oracles that re-check
+# every fast decode path against a cold full decode on each call: partial
+# B*-tree repack (bstar/pack.cpp), incremental sequence-pair pack
+# (seqpair/packer.cpp), stamp-cached HB*-tree pack (bstar/hbstar.cpp) and
+# the cost model's moved-module hint (cost/cost_model.cpp).  This leg is the
+# only one that runs them.
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
+cmake --build build-debug -j "$JOBS"
+(cd build-debug && ctest --output-on-failure -j "$JOBS")
+
 echo "=== sanitizers: ASan + UBSan build, suite run twice ==="
 cmake -B build-asan -S . -DALS_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS"

@@ -2,10 +2,11 @@
 //
 // Both stochastic placers of the library — the Section II sequence-pair
 // placer and the Section III (H)B*-tree placer — and the Section V sizing
-// optimizer share this engine.  States are value types; a move produces a
-// mutated copy, which keeps the engine trivially exception-safe and lets
-// move implementations stay simple (analog placements are small, so copying
-// an encoding is cheap relative to packing it).
+// optimizer share this engine, and every run goes through one sweep loop:
+// `detail::AnnealDriver`.  Moves perturb IN PLACE (`void(State&, Rng&)`): the
+// driver hands the move a persistent candidate buffer that already holds a
+// copy of the current state and swaps it in on acceptance, so the
+// steady-state move loop constructs no states and allocates nothing.
 //
 // Temperature schedule: geometric cooling with an initial temperature
 // calibrated from the mean uphill delta of a random-walk sample, the classic
@@ -20,10 +21,9 @@
 //
 // Cancellation: `AnnealOptions::cancel` (util/cancel_token.h) is the third,
 // externally triggered stopping rule.  EVERY entry point honours it through
-// the same seam — `anneal` / `annealWithRestarts` (both the scratch and the
-// incremental-evaluator overloads) and the resumable `AnnealDriver` that
-// sessions and runners build on — because the check lives in the two sweep
-// loops they all share.  The contract:
+// the same seam — both `annealWithRestarts` overloads and the sessions and
+// runners built on the resumable `AnnealDriver` — because the check lives in
+// the one sweep loop they all share.  The contract:
 //
 //   * Granularity: the flag is tested once per SWEEP (temperature step),
 //     never mid-move.  A run is therefore cancelled only at a point where
@@ -80,9 +80,9 @@ struct AnnealResult {
 // ---------------------------------------------------------------------------
 // Restart schedule — the shared vocabulary of every multi-start driver.
 //
-// Both the sequential restart loop below and the parallel portfolio runner
-// (runtime/portfolio.h) derive their per-restart seeds and sweep budgets
-// from these helpers.
+// Both the restart schedule of `AnnealDriver` below and the parallel
+// portfolio runner (runtime/portfolio.h) derive their per-restart seeds and
+// sweep budgets from these helpers.
 
 /// Seed of the restart following `seed` (an LCG step with Knuth's MMIX
 /// constants — full period over 2^64, so schedule seeds never repeat).
@@ -128,7 +128,7 @@ constexpr std::size_t resolveMovesPerTemp(std::size_t movesPerTemp,
 }
 
 // ---------------------------------------------------------------------------
-// Evaluation seams.  The annealing loops below are written against a small
+// Evaluation seams.  The annealing loop below is written against a small
 // evaluator interface so that one implementation serves both cost styles:
 //
 //   full(s)     evaluate `s` and make it the evaluator's committed state
@@ -159,17 +159,6 @@ constexpr std::size_t resolveMovesPerTemp(std::size_t movesPerTemp,
 // state so the next feasible propose re-seeds it.
 
 namespace detail {
-
-/// Move-seam detection: a move callable is either the classic copying style
-/// `State(const State&, Rng&)` or the allocation-free in-place style
-/// `void(State&, Rng&)`.  The in-place style receives a buffer that already
-/// holds a copy of the current state, perturbs it, and the loop swaps the
-/// buffer in on acceptance — the steady-state move loop then performs no
-/// state construction at all.  Both styles draw the same RNG stream for the
-/// same perturbation logic, so trajectories are identical.
-template <class MoveF, class State>
-inline constexpr bool kInPlaceMove =
-    std::is_void_v<std::invoke_result_t<MoveF&, State&, Rng&>>;
 
 template <class CostF>
 struct ScratchEval {
@@ -251,124 +240,55 @@ struct IncrementalEval {
 /// Metropolis sweeps: propose `count` moves from `cur`, let `acceptMove`
 /// decide on each delta, and keep the evaluator's committed state in step
 /// with `cur`.  `onAccept` runs after `cur`/`curCost` advanced.  `moveBuf`
-/// is the persistent candidate buffer of the in-place move style: the loop
-/// copy-assigns `cur` into it (reusing its heap storage), perturbs in
-/// place, and swaps on acceptance — no per-move construction, no per-move
-/// copy of the decoded placement, identical values either way.
+/// is the persistent candidate buffer: the loop copy-assigns `cur` into it
+/// (reusing its heap storage), perturbs in place, and swaps on acceptance —
+/// no per-move construction, no per-move copy of the decoded placement.
 template <class State, class Eval, class MoveF, class AcceptF, class OnAcceptF>
 void annealPass(State& cur, double& curCost, std::size_t count, Eval& eval,
                 MoveF& move, Rng& rng, State& moveBuf, AcceptF&& acceptMove,
                 OnAcceptF&& onAccept) {
+  static_assert(std::is_void_v<std::invoke_result_t<MoveF&, State&, Rng&>>,
+                "moves perturb in place: void(State&, Rng&)");
   for (std::size_t i = 0; i < count; ++i) {
-    if constexpr (kInPlaceMove<MoveF, State>) {
-      moveBuf = cur;
-      move(moveBuf, rng);
-      double nextCost = eval.propose(moveBuf);
-      if (acceptMove(nextCost - curCost)) {
-        eval.accept();
-        using std::swap;
-        swap(cur, moveBuf);
-        curCost = nextCost;
-        onAccept();
-      } else {
-        eval.reject();
-      }
+    moveBuf = cur;
+    move(moveBuf, rng);
+    double nextCost = eval.propose(moveBuf);
+    if (acceptMove(nextCost - curCost)) {
+      eval.accept();
+      using std::swap;
+      swap(cur, moveBuf);
+      curCost = nextCost;
+      onAccept();
     } else {
-      State next = move(cur, rng);
-      double nextCost = eval.propose(next);
-      if (acceptMove(nextCost - curCost)) {
-        eval.accept();
-        cur = std::move(next);
-        curCost = nextCost;
-        onAccept();
-      } else {
-        eval.reject();
-      }
+      eval.reject();
     }
   }
 }
 
-template <class State, class Eval, class MoveF>
-AnnealResult<State> annealImpl(State init, Eval& eval, MoveF& move,
-                               const AnnealOptions& opt) {
-  Rng rng(opt.seed);
-  Stopwatch clock;
-
-  State cur = std::move(init);
-  double curCost = eval.full(cur);
-  AnnealResult<State> result{cur, curCost, 0, 0, 0, 0.0};
-  State moveBuf = cur;  // persistent candidate buffer (in-place move style)
-
-  // Calibrate t0 so that `initialAcceptance` of sampled uphill moves pass:
-  // a 50-move random walk that accepts everything and records the uphill
-  // deltas.
-  double upSum = 0.0;
-  std::size_t upCount = 0;
-  {
-    State probe = cur;
-    double probeCost = curCost;
-    annealPass(probe, probeCost, 50, eval, move, rng, moveBuf,
-               [&](double delta) {
-                 if (delta > 0.0) {
-                   upSum += delta;
-                   ++upCount;
-                 }
-                 return true;
-               },
-               [] {});
-  }
-  eval.rebase(cur);  // the calibration walk moved the committed state
-  double meanUp = upCount ? upSum / static_cast<double>(upCount) : 1.0;
-  if (meanUp <= 0.0) meanUp = 1.0;
-  double t = -meanUp / std::log(opt.initialAcceptance);
-  double tFreeze = t * opt.freezeRatio;
-
-  std::size_t movesPerTemp =
-      resolveMovesPerTemp(opt.movesPerTemp, opt.sizeHint);
-
-  const bool timed = opt.timeLimitSec > 0.0;
-  while (t > tFreeze &&
-         (opt.maxSweeps == 0 || result.sweeps < opt.maxSweeps) &&
-         (!timed || clock.seconds() < opt.timeLimitSec) &&
-         !cancelRequested(opt.cancel)) {
-    annealPass(cur, curCost, movesPerTemp, eval, move, rng, moveBuf,
-               [&](double delta) {
-                 ++result.movesTried;
-                 return delta <= 0.0 || rng.uniform() < std::exp(-delta / t);
-               },
-               [&] {
-                 ++result.movesAccepted;
-                 if (curCost < result.bestCost) {
-                   result.best = cur;
-                   result.bestCost = curCost;
-                 }
-               });
-    t *= opt.coolingFactor;
-    ++result.sweeps;
-  }
-  result.seconds = clock.seconds();
-  return result;
-}
-
 // ---------------------------------------------------------------------------
-// AnnealDriver — the restart loop above, unrolled into a resumable state
+// AnnealDriver — the library's one annealing loop, as a resumable state
 // machine.
 //
-// The driver executes exactly the trajectory `annealWithRestartsImpl`
-// executes — same RNG stream, same calibration, same per-restart leftover
-// budgets, same merge and stop rules — but in sweep-sized steps the caller
-// can pause between.  That is the seam the parallel-tempering runner
+// A schedule is a sequence of runs.  Each run re-seeds the RNG, restarts
+// from the initial state, calibrates t0 with a 50-move accept-all walk and
+// cools geometrically until it freezes or the sweep budget is spent; a run
+// that froze with budget left is followed by a fresh restart on the
+// leftover budget, and the best state over all runs is the answer.  A
+// budget inside the freeze horizon is therefore one plain run.
+//
+// The caller advances the schedule in sweep-sized steps and may pause
+// between them.  That is the seam the parallel-tempering runner
 // (runtime/tempering.h) needs: K replicas advance in fixed-length rounds,
 // exchange states at the barrier, and resume with their RNG, temperature
 // and incremental evaluator state intact.  `runSweeps` crosses restart
 // boundaries on its own, so a paused driver run to completion produces the
-// sequential result bit for bit (pinned by the degeneration suite in
-// tests/runtime_test.cpp).
+// `annealWithRestarts` result bit for bit (pinned by the degeneration suite
+// in tests/runtime_test.cpp).
 //
 // `tempScale` multiplies the calibrated t0 of every run the driver starts
 // (and tFreeze follows, so the freeze horizon keeps the same sweep count).
 // A scale of 1.0 multiplies exactly (IEEE754) — the default is bit-identical
-// to the sequential loop; a ladder of scales > 1 yields the hotter replicas
+// to the unscaled schedule; a ladder of scales > 1 yields the hotter replicas
 // of a tempering ladder.
 //
 // All per-run state (current state, candidate buffer, calibration probe,
@@ -385,7 +305,7 @@ class AnnealDriver {
         options_(options),
         tempScale_(tempScale),
         init_(init),
-        best_{init, eval_.full(init), 0, 0, 0, 0.0},
+        best_{init, 0.0, 0, 0, 0, 0.0},
         cur_(init),
         moveBuf_(init),
         probe_(init),
@@ -396,6 +316,9 @@ class AnnealDriver {
     options_.movesPerTemp =
         resolveMovesPerTemp(options.movesPerTemp, options.sizeHint);
     beginRun();
+    // The first run's seeding evaluation scores `init` for the merged result
+    // too; a second `full(init)` would cost an extra decode + model reset.
+    best_.bestCost = curCost_;
   }
 
   /// Executes up to `maxSweeps` temperature steps (crossing restart
@@ -498,9 +421,8 @@ class AnnealDriver {
     b.reanchor();
   }
 
-  /// The aggregate result; only meaningful once `finished()`.  Runs the
-  /// remaining schedule first so a plain construct-finalize sequence is the
-  /// sequential driver.
+  /// The aggregate result.  Runs the remaining schedule first, so a plain
+  /// construct-finalize sequence is `annealWithRestarts`.
   AnnealResult<State> finalize() {
     run();
     AnnealResult<State> result = best_;
@@ -521,7 +443,8 @@ class AnnealDriver {
     runResult_.sweeps = 0;
 
     // Calibrate t0 so that `initialAcceptance` of sampled uphill moves
-    // pass — the 50-move accept-all walk of annealImpl, verbatim.
+    // pass: a 50-move random walk that accepts everything and records the
+    // uphill deltas.
     double upSum = 0.0;
     std::size_t upCount = 0;
     probe_ = cur_;
@@ -600,34 +523,37 @@ class AnnealDriver {
   bool finished_ = false;
 };
 
-template <class State, class Eval, class MoveF>
-AnnealResult<State> annealWithRestartsImpl(const State& init, Eval& eval,
-                                           MoveF& move,
-                                           const AnnealOptions& options) {
-  // The driver IS the historic restart loop (same trajectory, bit for bit);
-  // the sequential entry point just runs it to completion in one go.
-  AnnealDriver<State, Eval&, MoveF&> driver(init, eval, move, options);
-  return driver.finalize();
-}
-
 }  // namespace detail
 
-/// Runs simulated annealing from `init`.
+/// Runs simulated annealing from `init` and returns the best state found.
 ///
 /// `cost`:  double(const State&) — smaller is better.
-/// `move`:  either State(const State&, Rng&) — proposes a neighbouring
-///          state by value (the classic copying style) — or
-///          void(State&, Rng&) — perturbs IN PLACE a buffer already holding
-///          a copy of the current state.  The in-place style keeps the
-///          steady-state move loop free of heap allocations (the engine
-///          swaps the persistent buffer in on acceptance); both styles
-///          produce bit-identical trajectories for the same perturbation
-///          logic.
+/// `move`:  void(State&, Rng&) — perturbs IN PLACE a buffer already holding
+///          a copy of the current state.
+///
+/// A single geometric schedule often freezes long before a realistic budget
+/// ends; restarts turn the leftover budget into independent attempts, which
+/// is the standard industrial recipe for the plateau-heavy landscapes of
+/// floorplan codes.  A budget inside the freeze horizon runs one schedule.
+///
+/// Budget semantics: `options.maxSweeps` is the *total* sweep budget across
+/// all restarts (primary, deterministic); `options.timeLimitSec`, when
+/// positive, caps the total wall clock (secondary).  The caller's options
+/// struct is never mutated, and the leftover budget handed to each restart
+/// is clamped to zero or above.
+///
+/// Restart seeds follow the shared schedule (`nextRestartSeed`), and the
+/// `movesPerTemp` auto value is resolved once up front, so a parallel
+/// portfolio splitting the same budget across pre-sized slices anneals on
+/// the same per-restart schedule this loop would.
 template <class State, class CostF, class MoveF>
-AnnealResult<State> anneal(State init, CostF&& cost, MoveF&& move,
-                           const AnnealOptions& opt) {
+AnnealResult<State> annealWithRestarts(const State& init, CostF&& cost,
+                                       MoveF&& move,
+                                       const AnnealOptions& options) {
   detail::ScratchEval<CostF> eval{cost};
-  return detail::annealImpl(std::move(init), eval, move, opt);
+  return detail::AnnealDriver<State, decltype(eval)&, MoveF&>(init, eval, move,
+                                                              options)
+      .finalize();
 }
 
 /// Incremental-protocol overload: states are decoded to placements and
@@ -650,44 +576,13 @@ AnnealResult<State> anneal(State init, CostF&& cost, MoveF&& move,
 /// is bit-identical to the scratch overload fed the equivalent
 /// decode-then-evaluate cost lambda.
 template <class State, class Model, class DecodeF, class MoveF>
-AnnealResult<State> anneal(State init, Model& model, DecodeF&& decode,
-                           MoveF&& move, const AnnealOptions& opt) {
-  detail::IncrementalEval<Model, DecodeF> eval{model, decode};
-  return detail::annealImpl(std::move(init), eval, move, opt);
-}
-
-/// Repeats annealing runs (freshly seeded each round) until the sweep budget
-/// is exhausted and returns the best result.  A single geometric schedule
-/// often freezes long before a realistic budget ends; restarts turn the
-/// leftover budget into independent attempts, which is the standard
-/// industrial recipe for the plateau-heavy landscapes of floorplan codes.
-///
-/// Budget semantics: `options.maxSweeps` is the *total* sweep budget across
-/// all restarts (primary, deterministic); `options.timeLimitSec`, when
-/// positive, caps the total wall clock (secondary).  The caller's options
-/// struct is never mutated, and the leftover budget handed to each restart
-/// is clamped to zero or above.
-///
-/// Restart seeds follow the shared schedule (`nextRestartSeed`), and the
-/// `movesPerTemp` auto value is resolved once up front, so a parallel
-/// portfolio splitting the same budget across pre-sized slices anneals on
-/// the same per-restart schedule this loop would.
-template <class State, class CostF, class MoveF>
-AnnealResult<State> annealWithRestarts(const State& init, CostF&& cost,
-                                       MoveF&& move,
-                                       const AnnealOptions& options) {
-  detail::ScratchEval<CostF> eval{cost};
-  return detail::annealWithRestartsImpl(init, eval, move, options);
-}
-
-/// Incremental-protocol overload of the restart driver; see the `anneal`
-/// overload above for the model/decode contract.
-template <class State, class Model, class DecodeF, class MoveF>
 AnnealResult<State> annealWithRestarts(const State& init, Model& model,
                                        DecodeF&& decode, MoveF&& move,
                                        const AnnealOptions& options) {
   detail::IncrementalEval<Model, DecodeF> eval{model, decode};
-  return detail::annealWithRestartsImpl(init, eval, move, options);
+  return detail::AnnealDriver<State, decltype(eval)&, MoveF&>(init, eval, move,
+                                                              options)
+      .finalize();
 }
 
 }  // namespace als

@@ -24,7 +24,7 @@
 // calls.  Concurrent `place()` calls on one engine instance — or on many
 // engines over the same circuit — are therefore race-free, provided the
 // caller does not mutate the circuit while placements run.  New backends
-// must uphold this contract before registration in `makeEngine`.
+// must uphold this contract before registration in `makeReplicaSession`.
 #pragma once
 
 #include <cstdint>
@@ -137,19 +137,26 @@ struct EngineResult {
   std::uint64_t bestSeed = 0;    ///< seed the winning restart annealed with
 };
 
-class PlacementEngine {
- public:
-  virtual ~PlacementEngine() = default;
-  virtual EngineBackend backend() const = 0;
-  virtual std::string_view name() const = 0;
-  virtual EngineResult place(const Circuit& circuit,
-                             const EngineOptions& options) const = 0;
-};
-
 /// All registered backends, in a stable order (useful for sweeps/benches).
 std::span<const EngineBackend> allBackends();
 
 std::string_view backendName(EngineBackend backend);
+
+/// One backend behind the shared options/result structs.  `place` is the
+/// backend's resumable session (engine/replica_session.h) run to completion
+/// in one go — the same code path the tempering runner pauses between
+/// rounds, so the two cannot drift.
+class PlacementEngine {
+ public:
+  explicit PlacementEngine(EngineBackend backend) : backend_(backend) {}
+  EngineBackend backend() const { return backend_; }
+  std::string_view name() const { return backendName(backend_); }
+  EngineResult place(const Circuit& circuit,
+                     const EngineOptions& options) const;
+
+ private:
+  EngineBackend backend_;
+};
 
 std::unique_ptr<PlacementEngine> makeEngine(EngineBackend backend);
 

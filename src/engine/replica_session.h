@@ -5,10 +5,9 @@
 // SeqPairSession, SlicingSession, HBStarSession) that is its one-shot
 // place function cut at sweep granularity.  `ReplicaSession` erases the
 // backend so a runner can hold a heterogeneous fleet; `makeReplicaSession`
-// maps `EngineOptions` to the native options exactly as the engine facade
-// does (engine/backend_map.h), so a session run to completion in one go
-// returns the same EngineResult `makeEngine(b)->place(...)` would —
-// bit for bit.
+// maps `EngineOptions` to the native options.  The engine facade is a
+// session run to completion in one go (`makeEngine(b)->place(...)`), so a
+// paused-and-resumed session and the facade share one code path.
 //
 // Threading contract: a session may move between threads across calls but
 // is never called concurrently; the tempering runner advances replicas in
@@ -54,10 +53,10 @@ class ReplicaSession {
   /// cannot adopt a foreign placement (slicing, hbstar).
   virtual bool reseedFromPlacement(const Placement& placement) = 0;
 
-  /// Finalizes (running any leftover budget first) and assembles the result
-  /// exactly as the engine facade does for this backend; `bestSeed` is the
-  /// session's constructing seed, `restartsRun`/`bestRestart` report one
-  /// restart (the runner overwrites the aggregate fields).
+  /// Finalizes (running any leftover budget first) and assembles the
+  /// EngineResult; `bestSeed` is the session's constructing seed,
+  /// `restartsRun`/`bestRestart` report one restart (the runner overwrites
+  /// the aggregate fields).
   virtual EngineResult finish() = 0;
 };
 

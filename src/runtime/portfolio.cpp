@@ -71,6 +71,25 @@ EngineResult reducePortfolioSlices(std::vector<EngineResult>&& slices) {
   return result;
 }
 
+PortfolioRunner::RaceOutcome reduceRaceGrid(
+    std::vector<EngineResult>&& grid, std::span<const EngineBackend> backends,
+    std::size_t restarts) {
+  PortfolioRunner::RaceOutcome outcome;
+  for (std::size_t b = 0; b < backends.size(); ++b) {
+    std::vector<EngineResult> slices(
+        std::make_move_iterator(grid.begin() + b * restarts),
+        std::make_move_iterator(grid.begin() + (b + 1) * restarts));
+    EngineResult result = reducePortfolioSlices(std::move(slices));
+    if (b == 0 || result.cost < outcome.result.cost ||
+        (result.cost == outcome.result.cost &&
+         result.bestSeed < outcome.result.bestSeed)) {
+      outcome.result = std::move(result);
+      outcome.backend = backends[b];
+    }
+  }
+  return outcome;
+}
+
 std::vector<RestartSlice> makeRestartPlan(const EngineOptions& options) {
   std::size_t restarts = options.numRestarts > 0 ? options.numRestarts : 1;
   // A zero sweep budget means "uncapped" throughout the library, so no
@@ -91,31 +110,7 @@ EngineResult PortfolioRunner::run(const Circuit& circuit, EngineBackend backend,
   if (options.tempering) {
     return TemperingRunner(pool_).run(circuit, backend, options).result;
   }
-  Stopwatch clock;
-  const std::vector<RestartSlice> plan = makeRestartPlan(options);
-  const std::size_t movesPerTemp =
-      resolveMovesPerTemp(options.movesPerTemp, circuit.moduleCount());
-  const std::unique_ptr<PlacementEngine> engine = makeEngine(backend);
-
-  std::vector<EngineResult> slices(plan.size());
-  auto runOn = [&](ThreadPool& pool) {
-    WorkerScratches scratches(pool.threadCount());
-    pool.parallelFor(plan.size(), [&](std::size_t i, std::size_t slot) {
-      EngineOptions opt = sliceEngineOptions(options, plan[i], movesPerTemp);
-      opt.scratch = scratches.at(slot);
-      slices[i] = engine->place(circuit, opt);
-    });
-  };
-  if (pool_ != nullptr) {
-    runOn(*pool_);
-  } else {
-    ThreadPool pool(options.numThreads);
-    runOn(pool);
-  }
-
-  EngineResult result = reducePortfolioSlices(std::move(slices));
-  result.seconds = clock.seconds();
-  return result;
+  return race(circuit, std::span(&backend, 1), options).result;
 }
 
 PortfolioRunner::RaceOutcome PortfolioRunner::race(
@@ -134,46 +129,21 @@ PortfolioRunner::RaceOutcome PortfolioRunner::race(
   const std::size_t movesPerTemp =
       resolveMovesPerTemp(options.movesPerTemp, circuit.moduleCount());
 
-  std::vector<std::unique_ptr<PlacementEngine>> engines;
-  engines.reserve(backends.size());
-  for (EngineBackend backend : backends) engines.push_back(makeEngine(backend));
-
   // One flattened backend-major grid so a slow backend cannot leave threads
   // idle while another still has unclaimed restarts.
   std::vector<EngineResult> grid(backends.size() * restarts);
-  auto runOn = [&](ThreadPool& pool) {
+  withPool(pool_, options.numThreads, [&](ThreadPool& pool) {
     WorkerScratches scratches(pool.threadCount());
     pool.parallelFor(grid.size(), [&](std::size_t task, std::size_t slot) {
       const std::size_t backend = task / restarts;
       const std::size_t restart = task % restarts;
       EngineOptions opt = sliceEngineOptions(options, plan[restart], movesPerTemp);
       opt.scratch = scratches.at(slot);
-      grid[task] = engines[backend]->place(circuit, opt);
+      grid[task] = PlacementEngine(backends[backend]).place(circuit, opt);
     });
-  };
-  if (pool_ != nullptr) {
-    runOn(*pool_);
-  } else {
-    ThreadPool pool(options.numThreads);
-    runOn(pool);
-  }
+  });
 
-  // Reduce each backend's portfolio, then pick the winner on the total
-  // order (cost, seed, position in `backends`): strict improvement only,
-  // so an exact tie keeps the earliest backend.
-  RaceOutcome outcome;
-  for (std::size_t b = 0; b < backends.size(); ++b) {
-    std::vector<EngineResult> slices(
-        std::make_move_iterator(grid.begin() + b * restarts),
-        std::make_move_iterator(grid.begin() + (b + 1) * restarts));
-    EngineResult result = reducePortfolioSlices(std::move(slices));
-    if (b == 0 || result.cost < outcome.result.cost ||
-        (result.cost == outcome.result.cost &&
-         result.bestSeed < outcome.result.bestSeed)) {
-      outcome.result = std::move(result);
-      outcome.backend = backends[b];
-    }
-  }
+  RaceOutcome outcome = reduceRaceGrid(std::move(grid), backends, restarts);
   outcome.result.seconds = clock.seconds();
   return outcome;
 }
@@ -183,7 +153,7 @@ std::vector<EngineResult> BatchPlacer::placeAll(
     const EngineOptions& options) const {
   const std::vector<RestartSlice> plan = makeRestartPlan(options);
   const std::size_t restarts = plan.size();
-  const std::unique_ptr<PlacementEngine> engine = makeEngine(backend);
+  const PlacementEngine engine(backend);
 
   std::vector<std::size_t> movesPerTemp(circuits.size());
   for (std::size_t c = 0; c < circuits.size(); ++c) {
@@ -192,22 +162,16 @@ std::vector<EngineResult> BatchPlacer::placeAll(
   }
 
   std::vector<EngineResult> grid(circuits.size() * restarts);
-  auto runOn = [&](ThreadPool& pool) {
+  withPool(pool_, options.numThreads, [&](ThreadPool& pool) {
     WorkerScratches scratches(pool.threadCount());
     pool.parallelFor(grid.size(), [&](std::size_t task, std::size_t slot) {
       const std::size_t c = task / restarts;
       const std::size_t restart = task % restarts;
       EngineOptions opt = sliceEngineOptions(options, plan[restart], movesPerTemp[c]);
       opt.scratch = scratches.at(slot);
-      grid[task] = engine->place(circuits[c], opt);
+      grid[task] = engine.place(circuits[c], opt);
     });
-  };
-  if (pool_ != nullptr) {
-    runOn(*pool_);
-  } else {
-    ThreadPool pool(options.numThreads);
-    runOn(pool);
-  }
+  });
 
   std::vector<EngineResult> results;
   results.reserve(circuits.size());

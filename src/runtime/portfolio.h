@@ -74,9 +74,10 @@ class PortfolioRunner {
   /// pool must outlive the runner); `options.numThreads` is then ignored.
   explicit PortfolioRunner(ThreadPool* pool) : pool_(pool) {}
 
-  /// Runs the restart portfolio of one backend; `result.placement` is the
-  /// winning slice's placement, moves/sweeps aggregate over all slices,
-  /// `seconds` is the portfolio's wall clock.
+  /// Runs the restart portfolio of one backend — a one-backend `race`, or
+  /// the tempering runner when `options.tempering` is set; `result.placement`
+  /// is the winning slice's placement, moves/sweeps aggregate over all
+  /// slices, `seconds` is the portfolio's wall clock.
   EngineResult run(const Circuit& circuit, EngineBackend backend,
                    const EngineOptions& options) const;
 
@@ -96,6 +97,16 @@ class PortfolioRunner {
  private:
   ThreadPool* pool_ = nullptr;
 };
+
+/// Collapses a race's backend-major grid (`restarts` slices per backend, in
+/// the order of `backends`) into the winner: each backend's portfolio via
+/// `reducePortfolioSlices`, then the total order (cost, seed, position in
+/// `backends`) — strict improvement only, so an exact tie keeps the
+/// earliest backend.  Shared by the portfolio and tempering races (callers
+/// overwrite `seconds` with their wall clock).
+PortfolioRunner::RaceOutcome reduceRaceGrid(
+    std::vector<EngineResult>&& grid, std::span<const EngineBackend> backends,
+    std::size_t restarts);
 
 /// Places many circuits with one backend/options over one pool.  The
 /// flattened circuit x restart grid keeps all threads busy even when

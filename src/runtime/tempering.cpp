@@ -1,7 +1,6 @@
 #include "runtime/tempering.h"
 
 #include <cmath>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -281,7 +280,7 @@ TemperingOutcome TemperingRunner::run(const Circuit& circuit,
     outcome.replicas[i].tempScale = fleet.scales[i];
   }
 
-  auto runOn = [&](ThreadPool& pool) {
+  withPool(pool_, options.numThreads, [&](ThreadPool& pool) {
     pool.parallelFor(k, [&fleet](std::size_t i, std::size_t) {
       fleet.create(i);
     });
@@ -292,13 +291,7 @@ TemperingOutcome TemperingRunner::run(const Circuit& circuit,
     pool.parallelFor(k, [&fleet](std::size_t i, std::size_t) {
       fleet.finish(i);
     });
-  };
-  if (pool_ != nullptr) {
-    runOn(*pool_);
-  } else {
-    ThreadPool pool(options.numThreads);
-    runOn(pool);
-  }
+  });
 
   for (std::size_t i = 0; i < k; ++i) {
     outcome.replicas[i].cost = fleet.results[i].cost;
@@ -356,7 +349,7 @@ TemperingOutcome TemperingRunner::race(const Circuit& circuit,
     outcome.replicas[i].tempScale = fleet.scales[i % k];
   }
 
-  auto runOn = [&](ThreadPool& pool) {
+  withPool(pool_, options.numThreads, [&](ThreadPool& pool) {
     pool.parallelFor(total, [&fleet](std::size_t i, std::size_t) {
       fleet.create(i);
     });
@@ -366,13 +359,7 @@ TemperingOutcome TemperingRunner::race(const Circuit& circuit,
     pool.parallelFor(total, [&fleet](std::size_t i, std::size_t) {
       fleet.finish(i);
     });
-  };
-  if (pool_ != nullptr) {
-    runOn(*pool_);
-  } else {
-    ThreadPool pool(options.numThreads);
-    runOn(pool);
-  }
+  });
 
   for (std::size_t i = 0; i < total; ++i) {
     outcome.replicas[i].cost = fleet.results[i].cost;
@@ -380,22 +367,10 @@ TemperingOutcome TemperingRunner::race(const Circuit& circuit,
     outcome.replicas[i].movesTried = fleet.results[i].movesTried;
   }
 
-  // Reduce each ladder, then the total order (cost, seed, position):
-  // strict improvement only, so an exact tie keeps the earliest backend.
-  bool first = true;
-  for (std::size_t b = 0; b < backends.size(); ++b) {
-    std::vector<EngineResult> slices(
-        std::make_move_iterator(fleet.results.begin() + b * k),
-        std::make_move_iterator(fleet.results.begin() + (b + 1) * k));
-    EngineResult result = reducePortfolioSlices(std::move(slices));
-    if (first || result.cost < outcome.result.cost ||
-        (result.cost == outcome.result.cost &&
-         result.bestSeed < outcome.result.bestSeed)) {
-      outcome.result = std::move(result);
-      outcome.backend = backends[b];
-      first = false;
-    }
-  }
+  PortfolioRunner::RaceOutcome won =
+      reduceRaceGrid(std::move(fleet.results), backends, k);
+  outcome.result = std::move(won.result);
+  outcome.backend = won.backend;
   outcome.result.seconds = clock.seconds();
   return outcome;
 }

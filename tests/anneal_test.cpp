@@ -42,9 +42,9 @@ TEST(Annealer, MinimizesQuadratic) {
   opt.seed = 1;
   opt.maxSweeps = 200;
   opt.sizeHint = 4;
-  auto result = anneal(
+  auto result = annealWithRestarts(
       10.0, [](double x) { return (x - 3.0) * (x - 3.0); },
-      [](double x, Rng& rng) { return x + rng.normal(0.0, 0.5); }, opt);
+      [](double& x, Rng& rng) { x = x + rng.normal(0.0, 0.5); }, opt);
   EXPECT_NEAR(result.best, 3.0, 0.2);
   EXPECT_GT(result.movesTried, 100u);
   EXPECT_GT(result.movesAccepted, 0u);
@@ -60,19 +60,20 @@ TEST(Annealer, EscapesLocalMinimum) {
   AnnealOptions opt;
   opt.seed = 2;
   opt.maxSweeps = 200;
-  auto result = anneal(
-      -1.0, cost, [](double x, Rng& rng) { return x + rng.normal(0.0, 0.7); }, opt);
+  auto result = annealWithRestarts(
+      -1.0, cost, [](double& x, Rng& rng) { x = x + rng.normal(0.0, 0.7); },
+      opt);
   EXPECT_NEAR(result.best, 2.0, 0.3);
 }
 
 TEST(Annealer, DeterministicForSeed) {
   auto cost = [](double x) { return std::abs(x); };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
+  auto move = [](double& x, Rng& rng) { x = x + rng.uniform(-1.0, 1.0); };
   AnnealOptions opt;
   opt.seed = 3;
   opt.maxSweeps = 100;
-  auto a = anneal(5.0, cost, move, opt);
-  auto b = anneal(5.0, cost, move, opt);
+  auto a = annealWithRestarts(5.0, cost, move, opt);
+  auto b = annealWithRestarts(5.0, cost, move, opt);
   EXPECT_DOUBLE_EQ(a.best, b.best);
   EXPECT_EQ(a.movesTried, b.movesTried);
   EXPECT_EQ(a.sweeps, b.sweeps);
@@ -80,13 +81,13 @@ TEST(Annealer, DeterministicForSeed) {
 
 TEST(Annealer, BestNeverWorseThanInitial) {
   auto cost = [](int x) { return static_cast<double>(x * x); };
-  auto move = [](int x, Rng& rng) {
-    return x + static_cast<int>(rng.uniformInt(-2, 2));
+  auto move = [](int& x, Rng& rng) {
+    x = x + static_cast<int>(rng.uniformInt(-2, 2));
   };
   AnnealOptions opt;
   opt.seed = 4;
   opt.maxSweeps = 50;
-  auto result = anneal(7, cost, move, opt);
+  auto result = annealWithRestarts(7, cost, move, opt);
   EXPECT_LE(result.bestCost, 49.0);
 }
 
@@ -94,33 +95,33 @@ TEST(Annealer, SweepBudgetIsThePrimaryStoppingRule) {
   // With freezing disabled the sweep budget is the only active rule; the
   // run must execute exactly `maxSweeps` temperature steps.
   auto cost = [](double x) { return x; };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform() - 0.5; };
+  auto move = [](double& x, Rng& rng) { x = x + rng.uniform() - 0.5; };
   AnnealOptions opt;
   opt.seed = 5;
   opt.maxSweeps = 77;
   opt.freezeRatio = 0.0;
   opt.movesPerTemp = 4;
-  auto result = anneal(0.0, cost, move, opt);
+  auto result = annealWithRestarts(0.0, cost, move, opt);
   EXPECT_EQ(result.sweeps, 77u);
   EXPECT_EQ(result.movesTried, 77u * 4u);
 }
 
 TEST(Annealer, RespectsSecondaryTimeLimit) {
   auto cost = [](double x) { return x; };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform() - 0.5; };
+  auto move = [](double& x, Rng& rng) { x = x + rng.uniform() - 0.5; };
   AnnealOptions opt;
   opt.seed = 5;
   opt.maxSweeps = 0;      // no sweep cap ...
   opt.timeLimitSec = 0.2; // ... so the wall-clock cap must stop the run
   opt.freezeRatio = 0.0;  // would run forever without the time limit
   Stopwatch clock;
-  anneal(0.0, cost, move, opt);
+  annealWithRestarts(0.0, cost, move, opt);
   EXPECT_LT(clock.seconds(), 2.0);
 }
 
 TEST(Annealer, RestartsConsumeTheTotalSweepBudgetExactly) {
   auto cost = [](double x) { return std::abs(x); };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
+  auto move = [](double& x, Rng& rng) { x = x + rng.uniform(-1.0, 1.0); };
   AnnealOptions opt;
   opt.seed = 6;
   opt.maxSweeps = 500;  // a single schedule freezes after ~226 sweeps
@@ -130,7 +131,7 @@ TEST(Annealer, RestartsConsumeTheTotalSweepBudgetExactly) {
 
 TEST(Annealer, RestartsAreDeterministicAndDoNotMutateOptions) {
   auto cost = [](double x) { return std::abs(x); };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
+  auto move = [](double& x, Rng& rng) { x = x + rng.uniform(-1.0, 1.0); };
   const AnnealOptions opt{.maxSweeps = 300, .seed = 7};
   auto a = annealWithRestarts(5.0, cost, move, opt);
   auto b = annealWithRestarts(5.0, cost, move, opt);
@@ -145,28 +146,31 @@ TEST(Annealer, RestartsAreDeterministicAndDoNotMutateOptions) {
 TEST(Annealer, IncrementalOverloadRetracesTheScratchTrajectory) {
   // The incremental-protocol overload must be a pure evaluation-strategy
   // swap: same RNG stream, same costs, same acceptances — bit-identical
-  // results to the scratch overload.
-  auto move = [](double x, Rng& rng) { return x + rng.normal(0.0, 0.5); };
+  // results to the scratch overload.  The budget lies inside the ~226-sweep
+  // freeze horizon of the default schedule, so this is one plain run.
+  auto move = [](double& x, Rng& rng) { x = x + rng.normal(0.0, 0.5); };
   auto decode = [](double x) { return std::optional<double>(x); };
   AnnealOptions opt;
   opt.seed = 21;
   opt.maxSweeps = 120;
   opt.sizeHint = 4;
 
-  auto scratch = anneal(10.0, &ToyModel::costOf, move, opt);
+  auto scratch = annealWithRestarts(10.0, &ToyModel::costOf, move, opt);
   ToyModel model;
-  auto incremental = anneal(10.0, model, decode, move, opt);
+  auto incremental = annealWithRestarts(10.0, model, decode, move, opt);
 
   EXPECT_EQ(scratch.best, incremental.best);
   EXPECT_EQ(scratch.bestCost, incremental.bestCost);
   EXPECT_EQ(scratch.movesTried, incremental.movesTried);
   EXPECT_EQ(scratch.movesAccepted, incremental.movesAccepted);
   EXPECT_EQ(scratch.sweeps, incremental.sweeps);
+  EXPECT_EQ(incremental.sweeps, 120u);
 
   // Protocol audit: the 50-move calibration walk commits every probe, the
   // Metropolis loop commits exactly the accepted moves and rolls back the
-  // rest; the model is seeded once at the start and re-based once after
-  // calibration.
+  // rest; the model is seeded once at the start (the driver scores `init`
+  // for its merged result from that same evaluation) and re-based once
+  // after calibration.
   EXPECT_EQ(model.commits,
             50 + static_cast<int>(incremental.movesAccepted));
   EXPECT_EQ(model.rollbacks, static_cast<int>(incremental.movesTried -
@@ -175,11 +179,11 @@ TEST(Annealer, IncrementalOverloadRetracesTheScratchTrajectory) {
 }
 
 TEST(Annealer, IncrementalRestartsMatchScratchRestarts) {
-  auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
+  auto move = [](double& x, Rng& rng) { x = x + rng.uniform(-1.0, 1.0); };
   auto decode = [](double x) { return std::optional<double>(x); };
   AnnealOptions opt;
   opt.seed = 23;
-  opt.maxSweeps = 400;  // enough for several freeze-terminated restarts
+  opt.maxSweeps = 400;  // past the ~226-sweep freeze horizon: a restart
   auto scratch = annealWithRestarts(5.0, &ToyModel::costOf, move, opt);
   ToyModel model;
   auto incremental = annealWithRestarts(5.0, model, decode, move, opt);
@@ -187,22 +191,9 @@ TEST(Annealer, IncrementalRestartsMatchScratchRestarts) {
   EXPECT_EQ(scratch.bestCost, incremental.bestCost);
   EXPECT_EQ(scratch.movesTried, incremental.movesTried);
   EXPECT_EQ(scratch.sweeps, incremental.sweeps);
-}
-
-TEST(Annealer, RestartBeatsOrMatchesSingleRunWithSameTotalBudget) {
-  // The restart driver returns the best of its rounds, so it can never be
-  // worse than its own first round (which is a plain `anneal` call with the
-  // full budget capped by freezing).
-  auto cost = [](double x) {
-    return std::abs(x - 4.0) + 2.0 * std::sin(3.0 * x);
-  };
-  auto move = [](double x, Rng& rng) { return x + rng.normal(0.0, 0.4); };
-  AnnealOptions opt;
-  opt.seed = 8;
-  opt.maxSweeps = 600;
-  auto single = anneal(0.0, cost, move, opt);
-  auto restarted = annealWithRestarts(0.0, cost, move, opt);
-  EXPECT_LE(restarted.bestCost, single.bestCost + 1e-12);
+  // Two runs (226 sweeps to the freeze, then the 174 left): each seeds the
+  // model once and re-bases it once after its calibration walk.
+  EXPECT_EQ(model.resets, 2 * 2);
 }
 
 }  // namespace

@@ -476,11 +476,7 @@ TEST(CostModel, AnnealTrajectoryMatchesScratchBitForBit) {
     moduleDims(c, std::vector<bool>(n, false), &w, &h);
     return packBStar(t, w, h);
   };
-  auto move = [](const BStarTree& t, Rng& rng) {
-    BStarTree next = t;
-    next.perturb(rng);
-    return next;
-  };
+  auto move = [](BStarTree& t, Rng& rng) { t.perturb(rng); };
   AnnealOptions opt;
   opt.maxSweeps = 60;
   opt.seed = 11;

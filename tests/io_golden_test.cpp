@@ -14,6 +14,10 @@
 
 #include "engine/placement_engine.h"
 #include "io/corpus.h"
+#include "layoutaware/miller.h"
+#include "layoutaware/sizing.h"
+#include "netlist/generators.h"
+#include "seqpair/absolute_placer.h"
 #include "test_util.h"
 
 namespace als {
@@ -91,6 +95,95 @@ TEST(IoGolden, N100HotPathBackends) {
       {EngineBackend::SeqPair, 7388909403629.7334, 56907500, 742248000000},
   };
   expectGolden(CorpusCircuit::N100, opt, goldens);
+}
+
+// Pins of the non-engine annealing flows: the Section V sizing loops of
+// both OTAs and the absolute-coordinate baseline of Section II.  They share
+// the engine's annealer but none of its backends, so the corpus pins above
+// cannot see a change to their move functions or to how they enter the
+// annealer.  1200 iterations at 120 sweeps = 10 moves per temperature:
+// 1 initial + 50 calibration + 1200 Metropolis evaluations.
+TEST(IoGolden, FoldedCascodeSizingFlows) {
+  const Technology tech = Technology::c035();
+  SizingOptions opt;
+  opt.iterations = 1200;
+  opt.seed = 7;
+
+  opt.layoutAware = true;
+  SizingResult aware = runSizing(tech, OtaSpecs{}, opt);
+  EXPECT_EQ(aware.evaluations, 1251u);
+  EXPECT_EQ(aware.design.ib, 7.7877354611324815e-05);
+  EXPECT_EQ(aware.design.w1, 7.7062837965228987e-05);
+  EXPECT_EQ(aware.design.m1, 3);
+  EXPECT_EQ(aware.layout.areaUm2(), 8455.4634239999996);
+  EXPECT_EQ(aware.violationExtracted, 0.0);
+
+  opt.layoutAware = false;
+  SizingResult blind = runSizing(tech, OtaSpecs{}, opt);
+  EXPECT_EQ(blind.evaluations, 1251u);
+  EXPECT_EQ(blind.design.ib, 4.154567325413229e-05);
+  EXPECT_EQ(blind.design.w1, 8.9137071070628871e-05);
+  EXPECT_EQ(blind.design.m1, 10);
+  EXPECT_EQ(blind.layout.areaUm2(), 13852.907776);
+  EXPECT_EQ(blind.violationExtracted, 0.023682185431664123);
+}
+
+TEST(IoGolden, MillerSizingFlows) {
+  const Technology tech = Technology::c035();
+  OtaSpecs specs;
+  specs.minGainDb = 70.0;
+  specs.minGbwHz = 15e6;
+  specs.minPmDeg = 55.0;
+  specs.minSrVps = 10e6;
+  SizingOptions opt;
+  opt.iterations = 1200;
+  opt.seed = 5;
+
+  opt.layoutAware = true;
+  MillerSizingResult aware = runMillerSizing(tech, specs, opt);
+  EXPECT_EQ(aware.evaluations, 1251u);
+  EXPECT_EQ(aware.design.ib, 1.3220322733206403e-05);
+  EXPECT_EQ(aware.design.cc, 6.521930505385987e-13);
+  EXPECT_EQ(aware.design.m8, 3);
+  EXPECT_EQ(aware.layout.areaUm2(), 10560.936657);
+  EXPECT_EQ(aware.violationExtracted, 0.0);
+
+  opt.layoutAware = false;
+  MillerSizingResult blind = runMillerSizing(tech, specs, opt);
+  EXPECT_EQ(blind.evaluations, 1251u);
+  EXPECT_EQ(blind.design.ib, 1.0330069181264449e-05);
+  EXPECT_EQ(blind.design.cc, 9.0287602367165771e-13);
+  EXPECT_EQ(blind.design.m8, 4);
+  EXPECT_EQ(blind.layout.areaUm2(), 30698.936099999999);
+  EXPECT_EQ(blind.violationExtracted, 0.046464098482873847);
+}
+
+// 150 sweeps stay inside the ~226-sweep freeze horizon of the 0.96
+// schedule (one run); 300 sweeps cross it, so the second pin covers a
+// restart on the leftover budget.
+TEST(IoGolden, AbsolutePlacerBaseline) {
+  const Circuit c = makeFig1Example();
+  AbsolutePlacerOptions opt;
+
+  opt.maxSweeps = 150;
+  AbsolutePlacerResult one = placeAbsoluteSA(c, opt);
+  EXPECT_EQ(one.cost, 1715357577.9812157);
+  EXPECT_EQ(one.area, 981302751);
+  EXPECT_EQ(one.hpwl, 79865);
+  EXPECT_EQ(one.overlapArea, 25227677);
+  EXPECT_EQ(one.symViolation, 2453);
+  EXPECT_EQ(one.movesTried, 10500u);
+  EXPECT_EQ(one.sweeps, 150u);
+
+  opt.maxSweeps = 300;
+  AbsolutePlacerResult two = placeAbsoluteSA(c, opt);
+  EXPECT_EQ(two.cost, 1537036522.4331479);
+  EXPECT_EQ(two.area, 948602592);
+  EXPECT_EQ(two.hpwl, 73244);
+  EXPECT_EQ(two.overlapArea, 5784000);
+  EXPECT_EQ(two.symViolation, 1948);
+  EXPECT_EQ(two.movesTried, 21000u);
+  EXPECT_EQ(two.sweeps, 300u);
 }
 
 // The golden configuration must itself be reproducible: a second run of the
