@@ -17,6 +17,12 @@ cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
 
+echo "=== src/ line count (reported, not gated) ==="
+# Net lines of code is a tracked number (ROADMAP north star); printing the
+# total of src/**/*.{h,cpp} puts each change's figure in the CI log.
+echo "src_loc $(find src \( -name '*.h' -o -name '*.cpp' \) -print0 |
+  xargs -0 cat | wc -l)"
+
 echo "=== tier-1: configure + build + ctest (Release) ==="
 cmake -B build -S .
 cmake --build build -j "$JOBS"

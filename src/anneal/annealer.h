@@ -339,7 +339,7 @@ class AnnealDriver {
       }
       if (t_ > tFreeze_ &&
           (runBudget_ == 0 || runResult_.sweeps < runBudget_) &&
-          (!timed_ || runClock_.seconds() < runTimeCap_)) {
+          (!timed_ || clock_.seconds() < options_.timeLimitSec)) {
         annealPass(cur_, curCost_, options_.movesPerTemp, eval_, move_, rng_,
                    moveBuf_,
                    [&](double delta) {
@@ -433,7 +433,6 @@ class AnnealDriver {
  private:
   void beginRun() {
     rng_ = Rng(seed_);
-    runClock_.reset();
     cur_ = init_;
     curCost_ = eval_.full(cur_);
     runResult_.best = cur_;
@@ -466,9 +465,6 @@ class AnnealDriver {
     tFreeze_ = t_ * options_.freezeRatio;
 
     runBudget_ = sweepCapped_ ? options_.maxSweeps - best_.sweeps : 0;
-    if (timed_) {
-      runTimeCap_ = std::max(1e-9, options_.timeLimitSec - clock_.seconds());
-    }
   }
 
   void mergeRun() {
@@ -502,8 +498,7 @@ class AnnealDriver {
   MoveF move_;
   AnnealOptions options_;  // movesPerTemp resolved once at construction
   double tempScale_;
-  Stopwatch clock_;     // whole-schedule wall clock
-  Stopwatch runClock_;  // active run's wall clock (secondary time cap)
+  Stopwatch clock_;  // whole-schedule wall clock (secondary time cap)
 
   State init_;
   AnnealResult<State> best_;       // merged result of the finished runs
@@ -516,7 +511,6 @@ class AnnealDriver {
   double t_ = 0.0;
   double tFreeze_ = 0.0;
   std::size_t runBudget_ = 0;   // active run's sweep cap (0 = uncapped)
-  double runTimeCap_ = 0.0;     // active run's leftover wall clock
   std::uint64_t seed_;
   const bool sweepCapped_;
   const bool timed_;

@@ -8,6 +8,7 @@
 #include "bstar/from_placement.h"
 #include "bstar/pack.h"
 #include "cost/cost_model.h"
+#include "engine/anneal_replica.h"
 
 namespace als {
 
@@ -73,8 +74,8 @@ struct FlatDecoder {
   }
 };
 
-/// The SA move as a named functor so the session can own it (same body and
-/// RNG draws as the historical lambda in placeFlatBStarSA).
+/// The SA move (same body and RNG draws as the historical lambda in
+/// placeFlatBStarSA).
 struct FlatMove {
   const Circuit* circuit;
   const std::vector<ModuleId>* shapy;
@@ -98,27 +99,26 @@ struct FlatMove {
   }
 };
 
-}  // namespace
-
-struct FlatBStarSession::Impl {
-  using Eval = detail::IncrementalEval<CostModel, FlatDecoder>;
-  using Driver = detail::AnnealDriver<FlatState, Eval, FlatMove>;
+/// The flat B*-tree SA problem (engine/anneal_replica.h).
+struct FlatProblem {
+  using Options = FlatBStarOptions;
+  using Result = FlatBStarResult;
+  using State = FlatState;
+  static constexpr EngineBackend kBackend = EngineBackend::FlatBStar;
 
   const Circuit& circuit;
-  FlatBStarOptions options;
   std::size_t n;
   CostModel model;
   std::vector<ModuleId> shapy;
   FlatBStarScratch localScratch;
   FlatBStarScratch& scr;
   FlatDecoder decode;
-  std::optional<Driver> driver;
+  FlatMove move{};
   // Cross-backend reseed buffers (warm after the first reseed).
   BStarFromPlacementScratch reseedScratch;
 
-  Impl(const Circuit& c, const FlatBStarOptions& o, double tempScale)
+  FlatProblem(const Circuit& c, const FlatBStarOptions& o)
       : circuit(c),
-        options(o),
         n(c.moduleCount()),
         model(c, makeObjective(c, {.wirelength = o.wirelengthWeight,
                                    .symmetry = o.symmetryWeight,
@@ -133,112 +133,72 @@ struct FlatBStarSession::Impl {
     for (ModuleId m = 0; m < n; ++m) {
       if (circuit.module(m).shapes.size() > 1) shapy.push_back(m);
     }
-    const bool shapeMoves = options.shapeMoveProb > 0.0 && !shapy.empty();
+    move = FlatMove{&circuit, &shapy, o.shapeMoveProb,
+                    o.shapeMoveProb > 0.0 && !shapy.empty(), n};
 
     scr.movedList.clear();
     scr.movedMark.assign(n, 0);
     scr.movedEpoch = 1;
+  }
 
-    AnnealOptions annealOpt;
-    annealOpt.maxSweeps = options.maxSweeps;
-    annealOpt.timeLimitSec = options.timeLimitSec;
-    annealOpt.seed = options.seed;
-    annealOpt.coolingFactor = options.coolingFactor;
-    annealOpt.movesPerTemp = options.movesPerTemp;
-    annealOpt.sizeHint = n;
-    annealOpt.cancel = options.cancel;
-    FlatState init{BStarTree(n), std::vector<bool>(n, false),
-                   std::vector<std::uint8_t>(n, 0)};
-    driver.emplace(init, Eval{model, decode},
-                   FlatMove{&circuit, &shapy, options.shapeMoveProb,
-                            shapeMoves, n},
-                   annealOpt, tempScale);
+  FlatState initialState() const {
+    return {BStarTree(n), std::vector<bool>(n, false),
+            std::vector<std::uint8_t>(n, 0)};
+  }
+
+  /// B*-tree reconstruction of `placement` (bstar/from_placement.h), with
+  /// orientations and shape choices recovered from the rect dimensions.
+  /// Always succeeds for a placement of this circuit (penalty-based: every
+  /// state is feasible).
+  bool reseed(FlatState& s, const Placement& placement) {
+    if (placement.size() != n) return false;
+    bstarFromPlacement(placement, reseedScratch, s.tree);
+    // Recover orientation / shape choice per module from the rect dims:
+    // first matching realization wins (0 = declared footprint), rotation
+    // when the transposed dims match instead.  Degenerate (square) modules
+    // keep the unrotated reading — deterministic either way.
+    for (std::size_t m = 0; m < n; ++m) {
+      const Module& mod = circuit.module(m);
+      const Rect& r = placement[m];
+      s.rotated[m] = false;
+      s.shapeIdx[m] = 0;
+      if (r.w == mod.w && r.h == mod.h) continue;
+      if (mod.rotatable && r.w == mod.h && r.h == mod.w) {
+        s.rotated[m] = true;
+        continue;
+      }
+      for (std::size_t si = 1; si < mod.shapes.size(); ++si) {
+        if (r.w == mod.shapes[si].w && r.h == mod.shapes[si].h) {
+          s.shapeIdx[m] = static_cast<std::uint8_t>(si);
+          break;
+        }
+      }
+    }
+    return true;
+  }
+
+  void fill(FlatBStarResult& result, const AnnealResult<FlatState>& annealed) {
+    result.placement = *decode(annealed.best);
+    CostBreakdown breakdown = model.evaluateBreakdown(result.placement);
+    result.area = breakdown.area;
+    result.hpwl = breakdown.hpwl;
+    result.symDeviation = breakdown.symDeviation;
+    result.proximityViolations = breakdown.proximityViolations;
   }
 };
 
-FlatBStarSession::FlatBStarSession(const Circuit& circuit,
-                                   const FlatBStarOptions& options,
-                                   double tempScale)
-    : impl_(std::make_unique<Impl>(circuit, options, tempScale)) {}
-
-FlatBStarSession::~FlatBStarSession() = default;
-
-std::size_t FlatBStarSession::runSweeps(std::size_t maxSweeps) {
-  return impl_->driver->runSweeps(maxSweeps);
-}
-
-void FlatBStarSession::run() { impl_->driver->run(); }
-
-bool FlatBStarSession::finished() const { return impl_->driver->finished(); }
-
-double FlatBStarSession::currentCost() const {
-  return impl_->driver->currentCost();
-}
-
-double FlatBStarSession::bestCost() const { return impl_->driver->bestCost(); }
-
-double FlatBStarSession::temperature() const {
-  return impl_->driver->temperature();
-}
-
-void FlatBStarSession::exchangeWith(FlatBStarSession& other) {
-  Impl::Driver::exchange(*impl_->driver, *other.impl_->driver);
-}
-
-const Placement& FlatBStarSession::bestPlacement() {
-  const Placement* p = impl_->decode(impl_->driver->bestState());
-  return *p;
-}
-
-bool FlatBStarSession::reseedFromPlacement(const Placement& placement) {
-  if (placement.size() != impl_->n) return false;
-  FlatState& s = impl_->driver->currentState();
-  bstarFromPlacement(placement, impl_->reseedScratch, s.tree);
-  // Recover orientation / shape choice per module from the rect dims:
-  // first matching realization wins (0 = declared footprint), rotation
-  // when the transposed dims match instead.  Degenerate (square) modules
-  // keep the unrotated reading — deterministic either way.
-  for (std::size_t m = 0; m < impl_->n; ++m) {
-    const Module& mod = impl_->circuit.module(m);
-    const Rect& r = placement[m];
-    s.rotated[m] = false;
-    s.shapeIdx[m] = 0;
-    if (r.w == mod.w && r.h == mod.h) continue;
-    if (mod.rotatable && r.w == mod.h && r.h == mod.w) {
-      s.rotated[m] = true;
-      continue;
-    }
-    for (std::size_t si = 1; si < mod.shapes.size(); ++si) {
-      if (r.w == mod.shapes[si].w && r.h == mod.shapes[si].h) {
-        s.shapeIdx[m] = static_cast<std::uint8_t>(si);
-        break;
-      }
-    }
-  }
-  impl_->driver->reanchor();
-  return true;
-}
-
-FlatBStarResult FlatBStarSession::finish() {
-  AnnealResult<FlatState> annealed = impl_->driver->finalize();
-  FlatBStarResult result;
-  result.placement = *impl_->decode(annealed.best);
-  CostBreakdown breakdown = impl_->model.evaluateBreakdown(result.placement);
-  result.area = breakdown.area;
-  result.hpwl = breakdown.hpwl;
-  result.symDeviation = breakdown.symDeviation;
-  result.proximityViolations = breakdown.proximityViolations;
-  result.cost = annealed.bestCost;
-  result.movesTried = annealed.movesTried;
-  result.sweeps = annealed.sweeps;
-  result.seconds = annealed.seconds;
-  return result;
-}
+}  // namespace
 
 FlatBStarResult placeFlatBStarSA(const Circuit& circuit,
                                  const FlatBStarOptions& options) {
-  FlatBStarSession session(circuit, options);
-  return session.finish();
+  return AnnealReplica<FlatProblem>(circuit, options).finishNative();
+}
+
+std::unique_ptr<ReplicaSession> makeFlatBStarReplica(
+    const Circuit& circuit, const FlatBStarOptions& options,
+    double tempScale) {
+  return std::make_unique<AnnealReplica<FlatProblem>>(circuit, options,
+                                                      tempScale);
 }
 
 }  // namespace als

@@ -18,6 +18,8 @@
 
 namespace als {
 
+class ReplicaSession;  // engine/replica_session.h
+
 /// Reusable decode buffers of one flat B*-tree SA run.  Optional: a run
 /// without one builds its own.  A scratch may be reused across sequential
 /// runs and circuits (the runtime layer keeps one per worker thread) but
@@ -74,59 +76,11 @@ struct FlatBStarResult {
 FlatBStarResult placeFlatBStarSA(const Circuit& circuit,
                                  const FlatBStarOptions& options = {});
 
-/// Resumable flat B*-tree SA run — `placeFlatBStarSA` cut at sweep
-/// granularity (anneal/annealer.h's AnnealDriver): construct, advance in
-/// rounds with `runSweeps`, optionally exchange states or reseed between
-/// rounds, and `finish()`.  A session run to completion in one go IS
-/// `placeFlatBStarSA`, bit for bit (the function is implemented on top of
-/// it).  `tempScale` multiplies the calibrated t0 of every internal restart
-/// (1.0 = the sequential schedule, exactly).
-///
-/// Not movable or shareable across threads concurrently; the tempering
-/// runner advances each session from one thread at a time with fork-join
-/// barriers in between, which is all the contract requires.
-class FlatBStarSession {
- public:
-  FlatBStarSession(const Circuit& circuit, const FlatBStarOptions& options,
-                   double tempScale = 1.0);
-  ~FlatBStarSession();
-
-  FlatBStarSession(const FlatBStarSession&) = delete;
-  FlatBStarSession& operator=(const FlatBStarSession&) = delete;
-
-  /// Advances up to `maxSweeps` temperature steps; returns the number
-  /// executed (fewer only when the whole budget finished).
-  std::size_t runSweeps(std::size_t maxSweeps);
-  /// Runs the remaining budget to completion.
-  void run();
-  bool finished() const;
-
-  double currentCost() const;
-  double bestCost() const;
-  double temperature() const;  ///< current SA temperature (ladder-scaled)
-
-  /// Swaps the two sessions' current states (replica exchange) and
-  /// re-anchors both evaluators; no RNG is consumed.  Both sessions must
-  /// place the same circuit.
-  void exchangeWith(FlatBStarSession& other);
-
-  /// Decodes the best state so far into the session scratch.  The reference
-  /// stays valid until the session advances or decodes again.
-  const Placement& bestPlacement();
-
-  /// Replaces the current state with the B*-tree reconstruction of
-  /// `placement` (bstar/from_placement.h), recovering orientations and
-  /// shape choices from the rect dimensions, and re-anchors.  Always
-  /// succeeds for this backend (penalty-based: every state is feasible).
-  bool reseedFromPlacement(const Placement& placement);
-
-  /// Finalizes (running any leftover budget first) and assembles the
-  /// result exactly as `placeFlatBStarSA` does.
-  FlatBStarResult finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+/// Resumable `placeFlatBStarSA` run behind the replica seam
+/// (engine/anneal_replica.h); the run to completion IS `placeFlatBStarSA`.
+/// Adopts foreign placements via bstar/from_placement.h.
+std::unique_ptr<ReplicaSession> makeFlatBStarReplica(
+    const Circuit& circuit, const FlatBStarOptions& options,
+    double tempScale = 1.0);
 
 }  // namespace als

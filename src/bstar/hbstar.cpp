@@ -8,6 +8,7 @@
 #include "anneal/annealer.h"
 #include "bstar/common_centroid.h"
 #include "cost/cost_model.h"
+#include "engine/anneal_replica.h"
 
 namespace als {
 
@@ -370,100 +371,63 @@ struct HBMove {
   void operator()(HBState& s, Rng& rng) const { s.perturb(rng); }
 };
 
-}  // namespace
-
-struct HBStarSession::Impl {
-  using Eval = detail::IncrementalEval<CostModel, HBDecoder>;
-  using Driver = detail::AnnealDriver<HBState, Eval, HBMove>;
+/// The HB*-tree SA problem (engine/anneal_replica.h).  No reseed hook: the
+/// hierarchical encoding (islands, CC grids, per-node trees) cannot be
+/// reconstructed from a flat placement.  Replica exchange needs no cache
+/// invalidation: encoding stamps are globally unique, so a swapped-in state
+/// never aliases the other replica's scratch cache.
+struct HBProblem {
+  using Options = HBPlacerOptions;
+  using Result = HBPlacerResult;
+  using State = HBState;
+  static constexpr EngineBackend kBackend = EngineBackend::HBStar;
 
   const Circuit& circuit;
-  HBPlacerOptions options;
+  double shapeMoveProb;
   CostModel model;
   HBStarScratch localScratch;
   HBStarScratch& scr;
   HBDecoder decode;
-  std::optional<Driver> driver;
+  HBMove move;
 
-  Impl(const Circuit& c, const HBPlacerOptions& o, double tempScale)
+  HBProblem(const Circuit& c, const HBPlacerOptions& o)
       : circuit(c),
-        options(o),
+        shapeMoveProb(o.shapeMoveProb),
         // Hierarchy constraints hold by construction in every packed state,
         // so the objective is the geometric core: area + normalized
         // wirelength plus, when weighted, thermal pair mismatch.
         model(c, makeObjective(c, {.wirelength = o.wirelengthWeight,
                                    .thermal = o.thermalWeight})),
         scr(o.scratch ? *o.scratch : localScratch),
-        decode{&scr} {
-    AnnealOptions annealOpt;
-    annealOpt.maxSweeps = options.maxSweeps;
-    annealOpt.timeLimitSec = options.timeLimitSec;
-    annealOpt.seed = options.seed;
-    annealOpt.coolingFactor = options.coolingFactor;
-    annealOpt.movesPerTemp = options.movesPerTemp;
-    annealOpt.sizeHint = circuit.moduleCount();
-    annealOpt.cancel = options.cancel;
+        decode{&scr} {}
+
+  HBState initialState() const {
     HBState init(circuit);
-    init.enableShapeMoves(options.shapeMoveProb);
-    driver.emplace(init, Eval{model, decode}, HBMove{}, annealOpt, tempScale);
+    init.enableShapeMoves(shapeMoveProb);
+    return init;
+  }
+
+  void fill(HBPlacerResult& result, const AnnealResult<HBState>& annealed) {
+    annealed.best.packInto(scr.pack, scr.packed);
+    result.placement = scr.packed.placement;
+    result.axis2x = scr.packed.axis2x;
+    result.area = result.placement.boundingBox().area();
+    result.hpwl = totalHpwl(result.placement, circuit.netPins());
   }
 };
 
-HBStarSession::HBStarSession(const Circuit& circuit,
-                             const HBPlacerOptions& options, double tempScale)
-    : impl_(std::make_unique<Impl>(circuit, options, tempScale)) {}
-
-HBStarSession::~HBStarSession() = default;
-
-std::size_t HBStarSession::runSweeps(std::size_t maxSweeps) {
-  return impl_->driver->runSweeps(maxSweeps);
-}
-
-void HBStarSession::run() { impl_->driver->run(); }
-
-bool HBStarSession::finished() const { return impl_->driver->finished(); }
-
-double HBStarSession::currentCost() const {
-  return impl_->driver->currentCost();
-}
-
-double HBStarSession::bestCost() const { return impl_->driver->bestCost(); }
-
-double HBStarSession::temperature() const {
-  return impl_->driver->temperature();
-}
-
-void HBStarSession::exchangeWith(HBStarSession& other) {
-  Impl::Driver::exchange(*impl_->driver, *other.impl_->driver);
-}
-
-const Placement& HBStarSession::bestPlacement() {
-  const Placement* p = impl_->decode(impl_->driver->bestState());
-  return *p;
-}
-
-bool HBStarSession::reseedFromPlacement(const Placement&) { return false; }
-
-HBPlacerResult HBStarSession::finish() {
-  AnnealResult<HBState> annealed = impl_->driver->finalize();
-  HBStarScratch& scr = impl_->scr;
-
-  HBPlacerResult result;
-  annealed.best.packInto(scr.pack, scr.packed);
-  result.placement = scr.packed.placement;
-  result.axis2x = scr.packed.axis2x;
-  result.area = result.placement.boundingBox().area();
-  result.hpwl = totalHpwl(result.placement, impl_->circuit.netPins());
-  result.cost = annealed.bestCost;
-  result.movesTried = annealed.movesTried;
-  result.sweeps = annealed.sweeps;
-  result.seconds = annealed.seconds;
-  return result;
-}
+}  // namespace
 
 HBPlacerResult placeHBStarSA(const Circuit& circuit,
                              const HBPlacerOptions& options) {
-  HBStarSession session(circuit, options);
-  return session.finish();
+  return AnnealReplica<HBProblem>(circuit, options).finishNative();
+}
+
+std::unique_ptr<ReplicaSession> makeHBStarReplica(
+    const Circuit& circuit, const HBPlacerOptions& options,
+    double tempScale) {
+  return std::make_unique<AnnealReplica<HBProblem>>(circuit, options,
+                                                    tempScale);
 }
 
 }  // namespace als

@@ -34,6 +34,8 @@
 
 namespace als {
 
+class ReplicaSession;  // engine/replica_session.h
+
 /// Reusable buffers of one HB*-tree pack (the hierarchical decode runs once
 /// per SA move and must not allocate when warm).  A scratch binds lazily to
 /// a circuit: common-centroid node macros are pure functions of the circuit
@@ -183,46 +185,11 @@ struct HBPlacerResult {
 HBPlacerResult placeHBStarSA(const Circuit& circuit,
                              const HBPlacerOptions& options = {});
 
-/// Resumable HB*-tree SA run — `placeHBStarSA` cut at sweep granularity;
-/// see bstar/flat_placer.h's FlatBStarSession for the shared contract
-/// (run-to-completion bit-identity, `tempScale`, threading).  Replica
-/// exchange between two HBStarSessions is safe without cache invalidation:
-/// encoding stamps are globally unique, so a swapped-in state never aliases
-/// the other session's scratch cache.
-class HBStarSession {
- public:
-  HBStarSession(const Circuit& circuit, const HBPlacerOptions& options,
-                double tempScale = 1.0);
-  ~HBStarSession();
-
-  HBStarSession(const HBStarSession&) = delete;
-  HBStarSession& operator=(const HBStarSession&) = delete;
-
-  std::size_t runSweeps(std::size_t maxSweeps);
-  void run();
-  bool finished() const;
-
-  double currentCost() const;
-  double bestCost() const;
-  double temperature() const;
-
-  void exchangeWith(HBStarSession& other);
-
-  /// Decodes the best state so far into the session scratch.  The reference
-  /// stays valid until the session advances or decodes again.
-  const Placement& bestPlacement();
-
-  /// Always returns false: the hierarchical encoding (islands, CC grids,
-  /// per-node trees) cannot be reconstructed from a flat placement, so this
-  /// backend never adopts foreign seeds (the tempering runner falls back to
-  /// keeping the replica's own state).
-  bool reseedFromPlacement(const Placement& placement);
-
-  HBPlacerResult finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+/// Resumable `placeHBStarSA` run behind the replica seam
+/// (engine/anneal_replica.h); the run to completion IS `placeHBStarSA`.
+/// Never adopts foreign placements (the hierarchy cannot be rebuilt).
+std::unique_ptr<ReplicaSession> makeHBStarReplica(
+    const Circuit& circuit, const HBPlacerOptions& options,
+    double tempScale = 1.0);
 
 }  // namespace als

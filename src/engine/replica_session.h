@@ -1,13 +1,15 @@
 // Backend-erased resumable annealing runs — the engine-level seam the
 // parallel-tempering runner (runtime/tempering.h) drives.
 //
-// Each backend exposes a concrete session type (FlatBStarSession,
-// SeqPairSession, SlicingSession, HBStarSession) that is its one-shot
-// place function cut at sweep granularity.  `ReplicaSession` erases the
-// backend so a runner can hold a heterogeneous fleet; `makeReplicaSession`
-// maps `EngineOptions` to the native options.  The engine facade is a
-// session run to completion in one go (`makeEngine(b)->place(...)`), so a
-// paused-and-resumed session and the facade share one code path.
+// One class template implements it: `AnnealReplica<Problem>`
+// (engine/anneal_replica.h), a backend's SA problem over the shared
+// `detail::AnnealDriver`, which is each backend's one-shot place function
+// cut at sweep granularity.  Each backend exports a factory next to its
+// place function (`makeFlatBStarReplica`, `makeSeqPairReplica`,
+// `makeSlicingReplica`, `makeHBStarReplica`); `makeReplicaSession` maps
+// `EngineOptions` to the native options and picks one.  The engine facade
+// is a session run to completion in one go (`makeEngine(b)->place(...)`),
+// so a paused-and-resumed session and the facade share one code path.
 //
 // Threading contract: a session may move between threads across calls but
 // is never called concurrently; the tempering runner advances replicas in

@@ -31,6 +31,13 @@ class WorkerScratches {
   std::vector<std::unique_ptr<PlaceScratch>> scratches_;
 };
 
+/// The winner order of every reduction: lower cost, then lower seed; the
+/// callers scan in position order and replace only on a strict win, so an
+/// exact tie keeps the earliest position.
+bool ranksBefore(const EngineResult& a, const EngineResult& b) {
+  return a.cost < b.cost || (a.cost == b.cost && a.bestSeed < b.bestSeed);
+}
+
 }  // namespace
 
 EngineOptions sliceEngineOptions(const EngineOptions& base,
@@ -49,11 +56,7 @@ EngineOptions sliceEngineOptions(const EngineOptions& base,
 EngineResult reducePortfolioSlices(std::vector<EngineResult>&& slices) {
   std::size_t winner = 0;
   for (std::size_t i = 1; i < slices.size(); ++i) {
-    if (slices[i].cost < slices[winner].cost ||
-        (slices[i].cost == slices[winner].cost &&
-         slices[i].bestSeed < slices[winner].bestSeed)) {
-      winner = i;
-    }
+    if (ranksBefore(slices[i], slices[winner])) winner = i;
   }
   std::size_t movesTried = 0, sweeps = 0;
   double seconds = 0.0;
@@ -71,23 +74,28 @@ EngineResult reducePortfolioSlices(std::vector<EngineResult>&& slices) {
   return result;
 }
 
+std::vector<EngineResult> reducePortfolioRows(std::vector<EngineResult>&& grid,
+                                              std::size_t restarts) {
+  std::vector<EngineResult> rows;
+  rows.reserve(grid.size() / restarts);
+  for (auto row = grid.begin(); row != grid.end(); row += restarts) {
+    rows.push_back(reducePortfolioSlices(
+        std::vector<EngineResult>(std::make_move_iterator(row),
+                                  std::make_move_iterator(row + restarts))));
+  }
+  return rows;
+}
+
 PortfolioRunner::RaceOutcome reduceRaceGrid(
     std::vector<EngineResult>&& grid, std::span<const EngineBackend> backends,
     std::size_t restarts) {
-  PortfolioRunner::RaceOutcome outcome;
-  for (std::size_t b = 0; b < backends.size(); ++b) {
-    std::vector<EngineResult> slices(
-        std::make_move_iterator(grid.begin() + b * restarts),
-        std::make_move_iterator(grid.begin() + (b + 1) * restarts));
-    EngineResult result = reducePortfolioSlices(std::move(slices));
-    if (b == 0 || result.cost < outcome.result.cost ||
-        (result.cost == outcome.result.cost &&
-         result.bestSeed < outcome.result.bestSeed)) {
-      outcome.result = std::move(result);
-      outcome.backend = backends[b];
-    }
+  std::vector<EngineResult> rows =
+      reducePortfolioRows(std::move(grid), restarts);
+  std::size_t winner = 0;
+  for (std::size_t b = 1; b < rows.size(); ++b) {
+    if (ranksBefore(rows[b], rows[winner])) winner = b;
   }
-  return outcome;
+  return {std::move(rows[winner]), backends[winner]};
 }
 
 std::vector<RestartSlice> makeRestartPlan(const EngineOptions& options) {
@@ -173,15 +181,7 @@ std::vector<EngineResult> BatchPlacer::placeAll(
     });
   });
 
-  std::vector<EngineResult> results;
-  results.reserve(circuits.size());
-  for (std::size_t c = 0; c < circuits.size(); ++c) {
-    std::vector<EngineResult> slices(
-        std::make_move_iterator(grid.begin() + c * restarts),
-        std::make_move_iterator(grid.begin() + (c + 1) * restarts));
-    results.push_back(reducePortfolioSlices(std::move(slices)));
-  }
-  return results;
+  return reducePortfolioRows(std::move(grid), restarts);
 }
 
 }  // namespace als

@@ -62,6 +62,12 @@ EngineOptions sliceEngineOptions(const EngineOptions& base,
 /// runners alike (callers overwrite `seconds` with their wall clock).
 EngineResult reducePortfolioSlices(std::vector<EngineResult>&& slices);
 
+/// Splits a row-major grid (`restarts` slices per row, each row in schedule
+/// order) and reduces every row with `reducePortfolioSlices`; the rows are
+/// a race's backends or a batch's circuits.
+std::vector<EngineResult> reducePortfolioRows(std::vector<EngineResult>&& grid,
+                                              std::size_t restarts);
+
 /// Fans seed-split restarts (and whole-backend races) over a thread pool.
 /// Const and stateless per call: one runner may serve concurrent callers
 /// when constructed over distinct pools.
@@ -100,7 +106,7 @@ class PortfolioRunner {
 
 /// Collapses a race's backend-major grid (`restarts` slices per backend, in
 /// the order of `backends`) into the winner: each backend's portfolio via
-/// `reducePortfolioSlices`, then the total order (cost, seed, position in
+/// `reducePortfolioRows`, then the total order (cost, seed, position in
 /// `backends`) — strict improvement only, so an exact tie keeps the
 /// earliest backend.  Shared by the portfolio and tempering races (callers
 /// overwrite `seconds` with their wall clock).

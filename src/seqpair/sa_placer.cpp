@@ -6,6 +6,7 @@
 
 #include "anneal/annealer.h"
 #include "cost/cost_model.h"
+#include "engine/anneal_replica.h"
 #include "seqpair/from_placement.h"
 #include "seqpair/moves.h"
 #include "seqpair/symmetry.h"
@@ -64,8 +65,8 @@ struct SeqPairDecoder {
   }
 };
 
-/// The SA move as a named functor so the session can own it (same body and
-/// RNG draws as the historical lambda in placeSeqPairSA).
+/// The SA move (same body and RNG draws as the historical lambda in
+/// placeSeqPairSA).
 struct SeqPairMove {
   SymmetricMoveSet* moves;
   void operator()(SeqPairState& s, Rng& rng) const { moves->apply(s, rng); }
@@ -79,14 +80,14 @@ std::vector<bool> rotatableMask(const Circuit& circuit) {
   return mask;
 }
 
-}  // namespace
-
-struct SeqPairSession::Impl {
-  using Eval = detail::IncrementalEval<CostModel, SeqPairDecoder>;
-  using Driver = detail::AnnealDriver<SeqPairState, Eval, SeqPairMove>;
+/// The sequence-pair SA problem (engine/anneal_replica.h).
+struct SeqPairProblem {
+  using Options = SeqPairPlacerOptions;
+  using Result = SeqPairPlacerResult;
+  using State = SeqPairState;
+  static constexpr EngineBackend kBackend = EngineBackend::SeqPair;
 
   const Circuit& circuit;
-  SeqPairPlacerOptions options;
   std::size_t n;
   std::span<const SymmetryGroup> groups;
   std::vector<bool> rotatable;
@@ -95,15 +96,14 @@ struct SeqPairSession::Impl {
   SeqPairScratch localScratch;
   SeqPairScratch& scr;
   SeqPairDecoder decode;
-  std::optional<Driver> driver;
+  SeqPairMove move{&moves};
   // Cross-backend reseed buffers (warm after the first reseed).
   SeqPairFromPlacementScratch reseedScratch;
   SymmetryGroup merged;
   SymFeasibleScratch symScratch;
 
-  Impl(const Circuit& c, const SeqPairPlacerOptions& o, double tempScale)
+  SeqPairProblem(const Circuit& c, const SeqPairPlacerOptions& o)
       : circuit(c),
-        options(o),
         n(c.moduleCount()),
         groups(c.symmetryGroups()),
         rotatable(rotatableMask(c)),
@@ -126,121 +126,80 @@ struct SeqPairSession::Impl {
     scr.movedMark.assign(n, 0);
     scr.movedEpoch = 1;
 
-    decode.buildOpts.incremental = options.incrementalDecode;
+    decode.buildOpts.incremental = o.incrementalDecode;
     // The O(n^2) verification is a no-op on every reachable code (the move
     // set preserves S-F); the hot path drops it (debug builds still assert),
     // the historical full-decode path keeps it.
-    decode.buildOpts.verify = !options.incrementalDecode;
+    decode.buildOpts.verify = !o.incrementalDecode;
     decode.buildOpts.moved = &scr.tmpMoved;
+  }
 
+  SeqPairState initialState() const {
     SeqPairState init{SequencePair(n), std::vector<bool>(n, false)};
     makeSymmetricFeasible(init.sp, groups);
+    return init;
+  }
 
-    AnnealOptions annealOpt;
-    annealOpt.maxSweeps = options.maxSweeps;
-    annealOpt.timeLimitSec = options.timeLimitSec;
-    annealOpt.seed = options.seed;
-    annealOpt.coolingFactor = options.coolingFactor;
-    annealOpt.movesPerTemp = options.movesPerTemp;
-    annealOpt.sizeHint = n;
-    annealOpt.cancel = options.cancel;
-    driver.emplace(init, Eval{model, decode}, SeqPairMove{&moves}, annealOpt,
-                   tempScale);
+  /// The diagonal-order pair of `placement` (seqpair/from_placement.h),
+  /// rotations recovered from the rect dimensions (mirror partners forced
+  /// consistent), the symmetric-feasible invariant re-established.  Always
+  /// succeeds for a placement of this circuit.
+  bool reseed(SeqPairState& s, const Placement& placement) {
+    if (placement.size() != n) return false;
+    sequencePairFromPlacement(placement, reseedScratch, s.sp);
+    // Recover rotations from the rect dims (square modules stay unrotated —
+    // deterministic either way), then force mirror partners consistent: the
+    // symmetric construction realizes a pair with ONE orientation choice,
+    // and inconsistent flags would silently change the b-cell's footprint.
+    for (std::size_t m = 0; m < n; ++m) {
+      const Module& mod = circuit.module(m);
+      const Rect& r = placement[m];
+      s.rotated[m] = mod.rotatable && !(r.w == mod.w && r.h == mod.h) &&
+                     r.w == mod.h && r.h == mod.w;
+    }
+    for (const SymmetryGroup& g : groups) {
+      for (const SymPair& p : g.pairs) s.rotated[p.b] = s.rotated[p.a];
+    }
+    // The diagonal order knows nothing of property (1); re-seat beta so the
+    // seed is symmetric-feasible before the move set (which preserves S-F)
+    // takes over.
+    makeSymmetricFeasibleInPlace(s.sp, merged, symScratch);
+    return true;
+  }
+
+  void fill(SeqPairPlacerResult& result,
+            const AnnealResult<SeqPairState>& annealed) {
+    scr.w.resize(n);
+    scr.h.resize(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      const Module& mod = circuit.module(m);
+      scr.w[m] = annealed.best.rotated[m] ? mod.h : mod.w;
+      scr.h[m] = annealed.best.rotated[m] ? mod.w : mod.h;
+    }
+    auto built = buildSymmetricPlacement(annealed.best.sp, scr.w, scr.h,
+                                         groups);
+    if (built) {
+      result.placement = std::move(built->placement);
+      result.axis2x = std::move(built->axis2x);
+    }
+    result.code = annealed.best.sp;
+    result.area = result.placement.boundingBox().area();
+    result.hpwl = totalHpwl(result.placement, circuit.netPins());
   }
 };
 
-SeqPairSession::SeqPairSession(const Circuit& circuit,
-                               const SeqPairPlacerOptions& options,
-                               double tempScale)
-    : impl_(std::make_unique<Impl>(circuit, options, tempScale)) {}
-
-SeqPairSession::~SeqPairSession() = default;
-
-std::size_t SeqPairSession::runSweeps(std::size_t maxSweeps) {
-  return impl_->driver->runSweeps(maxSweeps);
-}
-
-void SeqPairSession::run() { impl_->driver->run(); }
-
-bool SeqPairSession::finished() const { return impl_->driver->finished(); }
-
-double SeqPairSession::currentCost() const {
-  return impl_->driver->currentCost();
-}
-
-double SeqPairSession::bestCost() const { return impl_->driver->bestCost(); }
-
-double SeqPairSession::temperature() const {
-  return impl_->driver->temperature();
-}
-
-void SeqPairSession::exchangeWith(SeqPairSession& other) {
-  Impl::Driver::exchange(*impl_->driver, *other.impl_->driver);
-}
-
-const Placement& SeqPairSession::bestPlacement() {
-  const Placement* p = impl_->decode(impl_->driver->bestState());
-  return *p;
-}
-
-bool SeqPairSession::reseedFromPlacement(const Placement& placement) {
-  if (placement.size() != impl_->n) return false;
-  SeqPairState& s = impl_->driver->currentState();
-  sequencePairFromPlacement(placement, impl_->reseedScratch, s.sp);
-  // Recover rotations from the rect dims (square modules stay unrotated —
-  // deterministic either way), then force mirror partners consistent: the
-  // symmetric construction realizes a pair with ONE orientation choice, and
-  // inconsistent flags would silently change the b-cell's footprint.
-  for (std::size_t m = 0; m < impl_->n; ++m) {
-    const Module& mod = impl_->circuit.module(m);
-    const Rect& r = placement[m];
-    s.rotated[m] = mod.rotatable && !(r.w == mod.w && r.h == mod.h) &&
-                   r.w == mod.h && r.h == mod.w;
-  }
-  for (const SymmetryGroup& g : impl_->groups) {
-    for (const SymPair& p : g.pairs) s.rotated[p.b] = s.rotated[p.a];
-  }
-  // The diagonal order knows nothing of property (1); re-seat beta so the
-  // seed is symmetric-feasible before the move set (which preserves S-F)
-  // takes over.
-  makeSymmetricFeasibleInPlace(s.sp, impl_->merged, impl_->symScratch);
-  impl_->driver->reanchor();
-  return true;
-}
-
-SeqPairPlacerResult SeqPairSession::finish() {
-  AnnealResult<SeqPairState> annealed = impl_->driver->finalize();
-  SeqPairScratch& scr = impl_->scr;
-  const std::size_t n = impl_->n;
-
-  SeqPairPlacerResult result;
-  scr.w.resize(n);
-  scr.h.resize(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    const Module& mod = impl_->circuit.module(m);
-    scr.w[m] = annealed.best.rotated[m] ? mod.h : mod.w;
-    scr.h[m] = annealed.best.rotated[m] ? mod.w : mod.h;
-  }
-  auto built = buildSymmetricPlacement(annealed.best.sp, scr.w, scr.h,
-                                       impl_->groups);
-  if (built) {
-    result.placement = std::move(built->placement);
-    result.axis2x = std::move(built->axis2x);
-  }
-  result.code = annealed.best.sp;
-  result.area = result.placement.boundingBox().area();
-  result.hpwl = totalHpwl(result.placement, impl_->circuit.netPins());
-  result.cost = annealed.bestCost;
-  result.movesTried = annealed.movesTried;
-  result.sweeps = annealed.sweeps;
-  result.seconds = annealed.seconds;
-  return result;
-}
+}  // namespace
 
 SeqPairPlacerResult placeSeqPairSA(const Circuit& circuit,
                                    const SeqPairPlacerOptions& options) {
-  SeqPairSession session(circuit, options);
-  return session.finish();
+  return AnnealReplica<SeqPairProblem>(circuit, options).finishNative();
+}
+
+std::unique_ptr<ReplicaSession> makeSeqPairReplica(
+    const Circuit& circuit, const SeqPairPlacerOptions& options,
+    double tempScale) {
+  return std::make_unique<AnnealReplica<SeqPairProblem>>(circuit, options,
+                                                         tempScale);
 }
 
 }  // namespace als

@@ -15,6 +15,8 @@
 
 namespace als {
 
+class ReplicaSession;  // engine/replica_session.h
+
 /// Reusable decode buffers of one sequence-pair SA run (optional; see
 /// bstar/flat_placer.h for the sharing contract).
 struct SeqPairScratch {
@@ -79,44 +81,11 @@ struct SeqPairPlacerResult {
 SeqPairPlacerResult placeSeqPairSA(const Circuit& circuit,
                                    const SeqPairPlacerOptions& options = {});
 
-/// Resumable sequence-pair SA run — `placeSeqPairSA` cut at sweep
-/// granularity; see bstar/flat_placer.h's FlatBStarSession for the shared
-/// contract (run-to-completion bit-identity, `tempScale`, threading).
-class SeqPairSession {
- public:
-  SeqPairSession(const Circuit& circuit, const SeqPairPlacerOptions& options,
-                 double tempScale = 1.0);
-  ~SeqPairSession();
-
-  SeqPairSession(const SeqPairSession&) = delete;
-  SeqPairSession& operator=(const SeqPairSession&) = delete;
-
-  std::size_t runSweeps(std::size_t maxSweeps);
-  void run();
-  bool finished() const;
-
-  double currentCost() const;
-  double bestCost() const;
-  double temperature() const;
-
-  void exchangeWith(SeqPairSession& other);
-
-  /// Decodes the best state so far into the session scratch.  The reference
-  /// stays valid until the session advances or decodes again.
-  const Placement& bestPlacement();
-
-  /// Replaces the current state with the diagonal-order pair of `placement`
-  /// (seqpair/from_placement.h), recovers rotations from the rect
-  /// dimensions (mirror partners forced consistent), re-establishes the
-  /// symmetric-feasible invariant, and re-anchors.  Always succeeds for
-  /// this backend.
-  bool reseedFromPlacement(const Placement& placement);
-
-  SeqPairPlacerResult finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+/// Resumable `placeSeqPairSA` run behind the replica seam
+/// (engine/anneal_replica.h); the run to completion IS `placeSeqPairSA`.
+/// Adopts foreign placements via seqpair/from_placement.h.
+std::unique_ptr<ReplicaSession> makeSeqPairReplica(
+    const Circuit& circuit, const SeqPairPlacerOptions& options,
+    double tempScale = 1.0);
 
 }  // namespace als

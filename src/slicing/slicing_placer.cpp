@@ -1,11 +1,11 @@
 #include "slicing/slicing_placer.h"
 
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "anneal/annealer.h"
 #include "cost/cost_model.h"
+#include "engine/anneal_replica.h"
 #include "slicing/polish.h"
 
 namespace als {
@@ -52,8 +52,8 @@ struct SlicingDecoder {
   }
 };
 
-/// The SA move as a named functor so the session can own it (same body and
-/// RNG draws as the historical lambda in placeSlicingSA).
+/// The SA move (same body and RNG draws as the historical lambda in
+/// placeSlicingSA).
 struct SlicingMove {
   const Circuit* circuit;
   const std::vector<ModuleId>* shapy;
@@ -71,14 +71,16 @@ struct SlicingMove {
   }
 };
 
-}  // namespace
-
-struct SlicingSession::Impl {
-  using Eval = detail::IncrementalEval<CostModel, SlicingDecoder>;
-  using Driver = detail::AnnealDriver<SlicingState, Eval, SlicingMove>;
+/// The slicing SA problem (engine/anneal_replica.h).  No reseed hook: a
+/// general placement has no exact normalized Polish expression, so this
+/// backend never adopts foreign placements.
+struct SlicingProblem {
+  using Options = SlicingPlacerOptions;
+  using Result = SlicingPlacerResult;
+  using State = SlicingState;
+  static constexpr EngineBackend kBackend = EngineBackend::Slicing;
 
   const Circuit& circuit;
-  SlicingPlacerOptions options;
   std::size_t n;
   std::vector<Coord> w, h;
   std::vector<bool> rotatable;
@@ -86,12 +88,11 @@ struct SlicingSession::Impl {
   std::vector<ModuleId> shapy;
   SlicingScratch localScratch;
   SlicingScratch& scr;
-  SlicingDecoder decode;
-  std::optional<Driver> driver;
+  SlicingDecoder decode{};
+  SlicingMove move{};
 
-  Impl(const Circuit& c, const SlicingPlacerOptions& o, double tempScale)
+  SlicingProblem(const Circuit& c, const SlicingPlacerOptions& o)
       : circuit(c),
-        options(o),
         n(c.moduleCount()),
         w(n),
         h(n),
@@ -112,89 +113,41 @@ struct SlicingSession::Impl {
     for (ModuleId m = 0; m < n; ++m) {
       if (circuit.module(m).shapes.size() > 1) shapy.push_back(m);
     }
-    const bool shapeMoves = options.shapeMoveProb > 0.0 && !shapy.empty();
+    const bool shapeMoves = o.shapeMoveProb > 0.0 && !shapy.empty();
+    decode = SlicingDecoder{&circuit,   &scr,   &w,         &h,
+                            &rotatable, &shapy, o.shapeCap, shapeMoves};
+    move = SlicingMove{&circuit, &shapy, o.shapeMoveProb, shapeMoves};
+  }
 
-    decode = SlicingDecoder{&circuit,  &scr,   &w,
-                            &h,        &rotatable, &shapy,
-                            options.shapeCap, shapeMoves};
+  SlicingState initialState() const {
+    return {PolishExpr::initial(n), std::vector<std::uint8_t>(n, 0)};
+  }
 
-    AnnealOptions annealOpt;
-    annealOpt.maxSweeps = options.maxSweeps;
-    annealOpt.timeLimitSec = options.timeLimitSec;
-    annealOpt.seed = options.seed;
-    annealOpt.coolingFactor = options.coolingFactor;
-    annealOpt.movesPerTemp = options.movesPerTemp;
-    annealOpt.sizeHint = n;
-    annealOpt.cancel = options.cancel;
-    SlicingState init{PolishExpr::initial(n),
-                      std::vector<std::uint8_t>(n, 0)};
-    driver.emplace(init, Eval{model, decode},
-                   SlicingMove{&circuit, &shapy, options.shapeMoveProb,
-                               shapeMoves},
-                   annealOpt, tempScale);
+  void fill(SlicingPlacerResult& result,
+            const AnnealResult<SlicingState>& annealed) {
+    // Re-decode the winner through the shared scratch: the state was
+    // already evaluated during the loop, so the warm buffers cover it
+    // allocation-free (a fresh local scratch would allocate a best-state-
+    // dependent amount, breaking the steady-state zero-alloc contract).
+    decode(annealed.best);
+    result.placement = scr.result.placement;
+    result.area = scr.result.area();
+    result.hpwl = totalHpwl(result.placement, circuit.netPins());
   }
 };
 
-SlicingSession::SlicingSession(const Circuit& circuit,
-                               const SlicingPlacerOptions& options,
-                               double tempScale)
-    : impl_(std::make_unique<Impl>(circuit, options, tempScale)) {}
-
-SlicingSession::~SlicingSession() = default;
-
-std::size_t SlicingSession::runSweeps(std::size_t maxSweeps) {
-  return impl_->driver->runSweeps(maxSweeps);
-}
-
-void SlicingSession::run() { impl_->driver->run(); }
-
-bool SlicingSession::finished() const { return impl_->driver->finished(); }
-
-double SlicingSession::currentCost() const {
-  return impl_->driver->currentCost();
-}
-
-double SlicingSession::bestCost() const { return impl_->driver->bestCost(); }
-
-double SlicingSession::temperature() const {
-  return impl_->driver->temperature();
-}
-
-void SlicingSession::exchangeWith(SlicingSession& other) {
-  Impl::Driver::exchange(*impl_->driver, *other.impl_->driver);
-}
-
-const Placement& SlicingSession::bestPlacement() {
-  const Placement* p = impl_->decode(impl_->driver->bestState());
-  return *p;
-}
-
-bool SlicingSession::reseedFromPlacement(const Placement&) { return false; }
-
-SlicingPlacerResult SlicingSession::finish() {
-  AnnealResult<SlicingState> annealed = impl_->driver->finalize();
-  SlicingScratch& scr = impl_->scr;
-
-  // Re-decode the winner through the shared scratch: the state was already
-  // evaluated during the loop, so the warm buffers cover it allocation-free
-  // (a fresh local scratch would allocate a best-state-dependent amount,
-  // breaking the steady-state zero-alloc contract).
-  SlicingPlacerResult result;
-  impl_->decode(annealed.best);
-  result.placement = scr.result.placement;
-  result.area = scr.result.area();
-  result.hpwl = totalHpwl(result.placement, impl_->circuit.netPins());
-  result.cost = annealed.bestCost;
-  result.movesTried = annealed.movesTried;
-  result.sweeps = annealed.sweeps;
-  result.seconds = annealed.seconds;
-  return result;
-}
+}  // namespace
 
 SlicingPlacerResult placeSlicingSA(const Circuit& circuit,
                                    const SlicingPlacerOptions& options) {
-  SlicingSession session(circuit, options);
-  return session.finish();
+  return AnnealReplica<SlicingProblem>(circuit, options).finishNative();
+}
+
+std::unique_ptr<ReplicaSession> makeSlicingReplica(
+    const Circuit& circuit, const SlicingPlacerOptions& options,
+    double tempScale) {
+  return std::make_unique<AnnealReplica<SlicingProblem>>(circuit, options,
+                                                         tempScale);
 }
 
 }  // namespace als

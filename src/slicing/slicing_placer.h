@@ -16,6 +16,8 @@
 
 namespace als {
 
+class ReplicaSession;  // engine/replica_session.h
+
 /// Reusable decode buffers of one slicing SA run (optional; see
 /// bstar/flat_placer.h for the sharing contract).
 struct SlicingScratch {
@@ -53,42 +55,11 @@ struct SlicingPlacerResult {
 SlicingPlacerResult placeSlicingSA(const Circuit& circuit,
                                    const SlicingPlacerOptions& options = {});
 
-/// Resumable slicing SA run — `placeSlicingSA` cut at sweep granularity;
-/// see bstar/flat_placer.h's FlatBStarSession for the shared contract
-/// (run-to-completion bit-identity, `tempScale`, threading).
-class SlicingSession {
- public:
-  SlicingSession(const Circuit& circuit, const SlicingPlacerOptions& options,
-                 double tempScale = 1.0);
-  ~SlicingSession();
-
-  SlicingSession(const SlicingSession&) = delete;
-  SlicingSession& operator=(const SlicingSession&) = delete;
-
-  std::size_t runSweeps(std::size_t maxSweeps);
-  void run();
-  bool finished() const;
-
-  double currentCost() const;
-  double bestCost() const;
-  double temperature() const;
-
-  void exchangeWith(SlicingSession& other);
-
-  /// Decodes the best state so far into the session scratch.  The reference
-  /// stays valid until the session advances or decodes again.
-  const Placement& bestPlacement();
-
-  /// Always returns false: a general placement has no exact normalized
-  /// Polish expression, so this backend never adopts foreign seeds (the
-  /// tempering runner falls back to keeping the replica's own state).
-  bool reseedFromPlacement(const Placement& placement);
-
-  SlicingPlacerResult finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+/// Resumable `placeSlicingSA` run behind the replica seam
+/// (engine/anneal_replica.h); the run to completion IS `placeSlicingSA`.
+/// Never adopts foreign placements (no exact Polish expression exists).
+std::unique_ptr<ReplicaSession> makeSlicingReplica(
+    const Circuit& circuit, const SlicingPlacerOptions& options,
+    double tempScale = 1.0);
 
 }  // namespace als

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "engine/replica_session.h"
 #include "netlist/generators.h"
 #include "seqpair/sa_placer.h"
 
@@ -98,6 +101,97 @@ TEST(PlacementEngine, SweepBudgetIsHonoredExactly) {
     auto engine = makeEngine(backend);
     EngineResult r = engine->place(c, opt);
     EXPECT_EQ(r.sweeps, 90u) << engine->name();
+  }
+}
+
+// ReplicaSession contract (engine/replica_session.h), per backend.  Miller
+// is the circuit every backend supports; 240 sweeps crosses the freeze
+// point, so chunked advancing also crosses a restart boundary.
+EngineOptions sessionOptions() {
+  EngineOptions opt;
+  opt.maxSweeps = 240;
+  opt.seed = 5;
+  return opt;
+}
+
+void expectSamePlacement(const Placement& a, const Placement& b,
+                         std::string_view name) {
+  ASSERT_EQ(a.size(), b.size()) << name;
+  for (std::size_t m = 0; m < a.size(); ++m) {
+    EXPECT_EQ(a[m], b[m]) << name << " module " << m;
+  }
+}
+
+TEST(ReplicaSession, ChunkedRunMatchesEngineBitForBit) {
+  Circuit c = makeTableICircuit(TableICircuit::MillerV2);
+  EngineOptions opt = sessionOptions();
+  for (EngineBackend backend : allBackends()) {
+    std::string_view name = backendName(backend);
+    auto session = makeReplicaSession(backend, c, opt);
+    ASSERT_NE(session, nullptr) << name;
+    EXPECT_EQ(session->backend(), backend);
+    std::size_t executed = 0;
+    while (!session->finished()) {
+      std::size_t ran = session->runSweeps(7);
+      EXPECT_LE(ran, 7u) << name;
+      executed += ran;
+    }
+    EXPECT_EQ(executed, opt.maxSweeps) << name;
+    EngineResult chunked = session->finish();
+    EngineResult oneShot = PlacementEngine(backend).place(c, opt);
+    EXPECT_EQ(chunked.cost, oneShot.cost) << name;
+    EXPECT_EQ(chunked.area, oneShot.area) << name;
+    EXPECT_EQ(chunked.hpwl, oneShot.hpwl) << name;
+    EXPECT_EQ(chunked.movesTried, oneShot.movesTried) << name;
+    EXPECT_EQ(chunked.sweeps, oneShot.sweeps) << name;
+    EXPECT_EQ(chunked.bestSeed, opt.seed) << name;
+    expectSamePlacement(chunked.placement, oneShot.placement, name);
+  }
+}
+
+TEST(ReplicaSession, ExchangeAcrossBackendsThrows) {
+  Circuit c = makeTableICircuit(TableICircuit::MillerV2);
+  EngineOptions opt = sessionOptions();
+  for (EngineBackend a : allBackends()) {
+    for (EngineBackend b : allBackends()) {
+      if (a == b) continue;
+      auto sa = makeReplicaSession(a, c, opt);
+      auto sb = makeReplicaSession(b, c, opt);
+      EXPECT_THROW(sa->exchangeWith(*sb), std::invalid_argument)
+          << backendName(a) << " <-> " << backendName(b);
+    }
+  }
+}
+
+TEST(ReplicaSession, ReseedIsAdoptedOnlyByConvertibleBackends) {
+  Circuit c = makeTableICircuit(TableICircuit::MillerV2);
+  EngineOptions opt = sessionOptions();
+  Placement donor = PlacementEngine(EngineBackend::FlatBStar).place(c, opt)
+                        .placement;
+  for (EngineBackend backend : allBackends()) {
+    std::string_view name = backendName(backend);
+    auto session = makeReplicaSession(backend, c, opt);
+    session->runSweeps(7);
+    double before = session->currentCost();
+    bool adopted = session->reseedFromPlacement(donor);
+    if (backend == EngineBackend::FlatBStar ||
+        backend == EngineBackend::SeqPair) {
+      EXPECT_TRUE(adopted) << name;
+    } else {
+      EXPECT_FALSE(adopted) << name;
+      EXPECT_EQ(session->currentCost(), before) << name;
+    }
+  }
+}
+
+TEST(ReplicaSession, BestPlacementAfterFinishIsTheResult) {
+  Circuit c = makeTableICircuit(TableICircuit::MillerV2);
+  EngineOptions opt = sessionOptions();
+  for (EngineBackend backend : allBackends()) {
+    auto session = makeReplicaSession(backend, c, opt);
+    EngineResult r = session->finish();
+    expectSamePlacement(session->bestPlacement(), r.placement,
+                        backendName(backend));
   }
 }
 
