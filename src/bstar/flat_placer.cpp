@@ -32,13 +32,6 @@ struct FlatDecoder {
   std::size_t n;
   bool partial;
 
-  void markMoved(ModuleId m) {
-    if (scr.movedMark[m] != scr.movedEpoch) {
-      scr.movedMark[m] = scr.movedEpoch;
-      scr.movedList.push_back(m);
-    }
-  }
-
   const Placement* operator()(const FlatState& s) {
     scr.w.resize(n);
     scr.h.resize(n);
@@ -55,23 +48,17 @@ struct FlatDecoder {
     if (!partial) {
       // Full-redecode path: every module may have moved.
       packBStarInto(s.tree, scr.w, scr.h, scr.pack, scr.placement);
-      for (ModuleId m = 0; m < n; ++m) markMoved(m);
+      for (ModuleId m = 0; m < n; ++m) scr.moved.add(m);
       return &scr.placement;
     }
     std::size_t k = packBStarPartialInto(s.tree, scr.w, scr.h, scr.pack,
                                          scr.placement);
-    for (std::size_t p = k; p < n; ++p) markMoved(scr.pack.repack.item[p]);
+    for (std::size_t p = k; p < n; ++p) scr.moved.add(scr.pack.repack.item[p]);
     return &scr.placement;
   }
 
-  std::span<const ModuleId> movedModules() const { return scr.movedList; }
-  void committed() {
-    scr.movedList.clear();
-    if (++scr.movedEpoch == 0) {  // epoch wrap: restamp instead of aliasing
-      scr.movedMark.assign(scr.movedMark.size(), 0);
-      scr.movedEpoch = 1;
-    }
-  }
+  std::span<const ModuleId> movedModules() const { return scr.moved.ids(); }
+  void committed() { scr.moved.reset(n); }
 };
 
 /// The SA move (same body and RNG draws as the historical lambda in
@@ -136,9 +123,7 @@ struct FlatProblem {
     move = FlatMove{&circuit, &shapy, o.shapeMoveProb,
                     o.shapeMoveProb > 0.0 && !shapy.empty(), n};
 
-    scr.movedList.clear();
-    scr.movedMark.assign(n, 0);
-    scr.movedEpoch = 1;
+    scr.moved.reset(n);
   }
 
   FlatState initialState() const {

@@ -15,6 +15,7 @@
 #include "geom/placement.h"
 #include "netlist/circuit.h"
 #include "util/cancel_token.h"
+#include "util/epoch_marks.h"
 
 namespace als {
 
@@ -28,12 +29,9 @@ struct FlatBStarScratch {
   BStarPackScratch pack;
   std::vector<Coord> w, h;   ///< orientation-resolved footprints
   Placement placement;       ///< decoded placement of the current candidate
-  // Moved-module accumulator for the hinted cost propose: the ids decoded
-  // differently since the cost model last committed, deduplicated by an
-  // epoch stamp per module (see FlatDecoder in flat_placer.cpp).
-  std::vector<ModuleId> movedList;
-  std::vector<std::uint32_t> movedMark;
-  std::uint32_t movedEpoch = 0;
+  /// Moved-module accumulator for the hinted cost propose: the ids decoded
+  /// differently since the cost model last committed.
+  DistinctIds moved;
 };
 
 struct FlatBStarOptions {

@@ -51,7 +51,6 @@ class AnnealReplica final : public ReplicaSession {
   std::size_t runSweeps(std::size_t maxSweeps) override {
     return driver_.runSweeps(maxSweeps);
   }
-  void run() override { driver_.run(); }
   bool finished() const override { return driver_.finished(); }
 
   double currentCost() const override { return driver_.currentCost(); }

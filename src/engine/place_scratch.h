@@ -13,12 +13,14 @@
 //   * at most one `place()` call may use a given scratch at a time; reuse
 //     across sequential runs, circuits and backends is encouraged (that is
 //     the point), concurrent sharing is a race;
-//   * the runtime layer (runtime/portfolio.h) creates one PlaceScratch per
-//     pool worker per run/race/batch call and stamps the right sub-scratch
-//     into each slice's options — slices on one worker run sequentially,
-//     so the contract holds by construction (the scratches are per-call,
-//     not per-runner: PortfolioRunner stays const and stateless, which is
-//     what allows concurrent callers).
+//   * the runtime layer's replica grid (runtime/replica_grid.h) creates one
+//     PlaceScratch per pool worker per run-to-completion grid (portfolio
+//     races and batches) and stamps the right sub-scratch into each slice's
+//     options — slices on one worker run sequentially, so the contract
+//     holds by construction (the scratches are per-call, not per-runner:
+//     the runners stay const and stateless, which is what allows
+//     concurrent callers).  Grids whose sessions live across rounds take a
+//     per-replica bank instead (TemperingScratch, runtime/tempering.h).
 #pragma once
 
 #include "bstar/flat_placer.h"

@@ -1,5 +1,5 @@
 // Backend-erased resumable annealing runs — the engine-level seam the
-// parallel-tempering runner (runtime/tempering.h) drives.
+// runtime layer's replica grid (runtime/replica_grid.h) drives.
 //
 // One class template implements it: `AnnealReplica<Problem>`
 // (engine/anneal_replica.h), a backend's SA problem over the shared
@@ -12,7 +12,7 @@
 // so a paused-and-resumed session and the facade share one code path.
 //
 // Threading contract: a session may move between threads across calls but
-// is never called concurrently; the tempering runner advances replicas in
+// is never called concurrently; the replica grid advances sessions in
 // fork-join rounds, which satisfies this by construction.
 #pragma once
 
@@ -31,8 +31,6 @@ class ReplicaSession {
   /// Advances up to `maxSweeps` temperature steps; returns the number
   /// executed (fewer only when the whole budget finished).
   virtual std::size_t runSweeps(std::size_t maxSweeps) = 0;
-  /// Runs the remaining budget to completion.
-  virtual void run() = 0;
   virtual bool finished() const = 0;
 
   virtual double currentCost() const = 0;

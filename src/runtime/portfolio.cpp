@@ -1,35 +1,16 @@
 #include "runtime/portfolio.h"
 
 #include <iterator>
-#include <memory>
 #include <stdexcept>
 
 #include "anneal/annealer.h"
-#include "engine/place_scratch.h"
+#include "runtime/replica_grid.h"
 #include "runtime/tempering.h"
 #include "util/stopwatch.h"
 
 namespace als {
 
 namespace {
-
-/// One warm decode scratch per pool slot (engine/place_scratch.h).  A slot
-/// runs its slices sequentially, so its scratch is never shared; creation
-/// is lazy because a short plan may not touch every slot.  Scratch contents
-/// never influence results, so slot scheduling cannot either.
-class WorkerScratches {
- public:
-  explicit WorkerScratches(std::size_t slots) : scratches_(slots) {}
-
-  PlaceScratch* at(std::size_t slot) {
-    std::unique_ptr<PlaceScratch>& s = scratches_[slot];
-    if (s == nullptr) s = std::make_unique<PlaceScratch>();
-    return s.get();
-  }
-
- private:
-  std::vector<std::unique_ptr<PlaceScratch>> scratches_;
-};
 
 /// The winner order of every reduction: lower cost, then lower seed; the
 /// callers scan in position order and replace only on a strict win, so an
@@ -50,6 +31,7 @@ EngineOptions sliceEngineOptions(const EngineOptions& base,
   opt.numRestarts = 1;
   opt.numThreads = 1;
   opt.scratch = nullptr;
+  opt.tempering = false;
   return opt;
 }
 
@@ -132,26 +114,9 @@ PortfolioRunner::RaceOutcome PortfolioRunner::race(
     return RaceOutcome{std::move(t.result), t.backend};
   }
   Stopwatch clock;
-  const std::vector<RestartSlice> plan = makeRestartPlan(options);
-  const std::size_t restarts = plan.size();
-  const std::size_t movesPerTemp =
-      resolveMovesPerTemp(options.movesPerTemp, circuit.moduleCount());
-
-  // One flattened backend-major grid so a slow backend cannot leave threads
-  // idle while another still has unclaimed restarts.
-  std::vector<EngineResult> grid(backends.size() * restarts);
-  withPool(pool_, options.numThreads, [&](ThreadPool& pool) {
-    WorkerScratches scratches(pool.threadCount());
-    pool.parallelFor(grid.size(), [&](std::size_t task, std::size_t slot) {
-      const std::size_t backend = task / restarts;
-      const std::size_t restart = task % restarts;
-      EngineOptions opt = sliceEngineOptions(options, plan[restart], movesPerTemp);
-      opt.scratch = scratches.at(slot);
-      grid[task] = PlacementEngine(backends[backend]).place(circuit, opt);
-    });
-  });
-
-  RaceOutcome outcome = reduceRaceGrid(std::move(grid), backends, restarts);
+  ReplicaGrid grid(std::span(&circuit, 1), backends, options, 1.0, 0);
+  RaceOutcome outcome =
+      reduceRaceGrid(grid.run(pool_), backends, grid.restarts());
   outcome.result.seconds = clock.seconds();
   return outcome;
 }
@@ -159,29 +124,8 @@ PortfolioRunner::RaceOutcome PortfolioRunner::race(
 std::vector<EngineResult> BatchPlacer::placeAll(
     std::span<const Circuit> circuits, EngineBackend backend,
     const EngineOptions& options) const {
-  const std::vector<RestartSlice> plan = makeRestartPlan(options);
-  const std::size_t restarts = plan.size();
-  const PlacementEngine engine(backend);
-
-  std::vector<std::size_t> movesPerTemp(circuits.size());
-  for (std::size_t c = 0; c < circuits.size(); ++c) {
-    movesPerTemp[c] =
-        resolveMovesPerTemp(options.movesPerTemp, circuits[c].moduleCount());
-  }
-
-  std::vector<EngineResult> grid(circuits.size() * restarts);
-  withPool(pool_, options.numThreads, [&](ThreadPool& pool) {
-    WorkerScratches scratches(pool.threadCount());
-    pool.parallelFor(grid.size(), [&](std::size_t task, std::size_t slot) {
-      const std::size_t c = task / restarts;
-      const std::size_t restart = task % restarts;
-      EngineOptions opt = sliceEngineOptions(options, plan[restart], movesPerTemp[c]);
-      opt.scratch = scratches.at(slot);
-      grid[task] = engine.place(circuits[c], opt);
-    });
-  });
-
-  return reducePortfolioRows(std::move(grid), restarts);
+  ReplicaGrid grid(circuits, std::span(&backend, 1), options, 1.0, 0);
+  return reducePortfolioRows(grid.run(pool_), grid.restarts());
 }
 
 }  // namespace als

@@ -5,16 +5,19 @@
 // `options.numRestarts` slices, each annealing from its own seed of the
 // shared restart schedule (anneal/annealer.h), fans the slices across a
 // deterministic ThreadPool, and reduces to the best slice with a total-order
-// tie-break on (cost, seed, backend).  Because every slice is a pure
-// function of its (seed, budget) pair and the reduction is performed in
-// schedule order over an index-addressed result array, the outcome is
-// bit-identical for `numThreads = 1` and `numThreads = N` — the property
+// tie-break on (cost, seed, backend).  Races and batches are round-length-0
+// configurations of the runtime layer's one replica grid
+// (runtime/replica_grid.h): every slice is one pool task on its worker's
+// warm scratch.  Because every slice is a pure function of its (seed,
+// budget) pair and the reduction is performed in schedule order over an
+// index-addressed result array, the outcome is bit-identical for
+// `numThreads = 1` and `numThreads = N` — the property
 // tests/runtime_test.cpp asserts per backend.
 //
-// `movesPerTemp == 0` auto-scaling is resolved ONCE per run (from the
-// circuit's module count, the hint every registered backend uses) and the
-// resolved value is stamped into each slice, so split-budget restarts anneal
-// on exactly the schedule the equivalent sequential run would have used.
+// `movesPerTemp == 0` auto-scaling is resolved from the circuit's module
+// count (the hint every registered backend uses), not from a slice's
+// budget, so split-budget restarts anneal on exactly the schedule the
+// equivalent sequential run would have used.
 //
 // `timeLimitSec`, when positive, caps each slice's wall clock individually;
 // as everywhere else in the library, results under an active time cap are
@@ -45,11 +48,10 @@ struct RestartSlice {
 std::vector<RestartSlice> makeRestartPlan(const EngineOptions& options);
 
 /// Options of one slice: own seed and budget, shared resolved movesPerTemp,
-/// multi-start knobs neutralized (a slice is exactly one engine run), the
-/// caller's scratch dropped (runners hand each slice the scratch of the
-/// worker executing it).  Every field the caller set — objective weights,
-/// the cancel token — flows through unchanged.  Shared by the portfolio,
-/// tempering and serve runners so their per-slice schedules cannot drift.
+/// multi-start and tempering knobs neutralized (a slice is exactly one
+/// engine run), the caller's scratch dropped (the replica grid hands each
+/// slice its worker's or its bank entry's scratch).  Every field the caller
+/// set — objective weights, the cancel token — flows through unchanged.
 EngineOptions sliceEngineOptions(const EngineOptions& base,
                                  const RestartSlice& slice,
                                  std::size_t resolvedMovesPerTemp);

@@ -7,13 +7,9 @@
 #include <limits>
 #include <thread>
 
-#include "anneal/annealer.h"
-#include "engine/place_scratch.h"
-#include "engine/replica_session.h"
 #include "io/benchmark_format.h"
-#include "runtime/portfolio.h"
+#include "runtime/replica_grid.h"
 #include "runtime/tempering.h"
-#include "runtime/thread_pool.h"
 #include "util/stopwatch.h"
 
 namespace als {
@@ -34,18 +30,35 @@ struct ServeEngine::Slot {
   bool hasDeadline = false;  ///< wall deadline armed (under Impl::mutex)
   std::chrono::steady_clock::time_point deadlineAt{};
   std::atomic<bool> deadlined{false};
+
+  /// The barrier of a restart job's round loop.  Sweep-budget deadline,
+  /// round-granular: once the job's TOTAL sweeps cross the budget, cancel —
+  /// the still-active sessions wind down during the next round's sweep
+  /// checks (same bound as a client CANCEL).  Then `onProgress` reports.
+  void endRound(ReplicaGrid& grid) {
+    std::size_t sweepsDone = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      sweepsDone += grid.sweeps(i);
+      best = std::min(best, grid.session(i).bestCost());
+    }
+    if (job.deadlineSweeps > 0 && sweepsDone >= job.deadlineSweeps &&
+        !deadlined.load(std::memory_order_relaxed)) {
+      deadlined.store(true, std::memory_order_relaxed);
+      cancel.cancel();
+    }
+    if (job.onProgress) job.onProgress(grid.rounds(), sweepsDone, best);
+  }
 };
 
 struct ServeEngine::Worker {
   std::thread thread;
-  ThreadPool pool{1};     ///< tempering rounds run inline on the worker
+  ThreadPool pool{1};     ///< job rounds run inline on the worker
   TemperingScratch bank;  ///< per-slice warm buffers, reused across jobs
 
   // Reused per-job state (capacity persists across jobs):
   EngineResult result;
   EngineBackend resultBackend = EngineBackend::FlatBStar;
-  std::vector<std::unique_ptr<ReplicaSession>> sessions;
-  std::vector<EngineResult> sliceResults;
 };
 
 struct ServeEngine::Impl {
@@ -250,69 +263,6 @@ void ServeEngine::workerLoop(Worker& worker) {
   }
 }
 
-/// The round loop of one restart job: per-slice sessions advanced
-/// `progressInterval` sweeps at a time.  Reducing the finished sessions with
-/// the shared portfolio reduction makes the outcome bit-identical to
-/// `PortfolioRunner::run` on the same options (sessions run to completion
-/// equal the one-shot engine call, slice for slice).
-EngineResult ServeEngine::runSessionRounds(Worker& worker, Slot& slot,
-                                           const Circuit& circuit,
-                                           EngineBackend backend,
-                                           const EngineOptions& options) {
-  const ProgressFn& onProgress = slot.job.onProgress;
-  const std::size_t interval = options_.progressInterval;
-  const std::vector<RestartSlice> plan = makeRestartPlan(options);
-  const std::size_t movesPerTemp =
-      resolveMovesPerTemp(options.movesPerTemp, circuit.moduleCount());
-  while (worker.bank.replicas.size() < plan.size()) {
-    worker.bank.replicas.push_back(std::make_unique<PlaceScratch>());
-  }
-  worker.sessions.clear();
-  worker.sessions.reserve(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    EngineOptions sliceOpt = sliceEngineOptions(options, plan[i], movesPerTemp);
-    sliceOpt.scratch = worker.bank.replicas[i].get();
-    worker.sessions.push_back(
-        makeReplicaSession(backend, circuit, sliceOpt, 1.0));
-  }
-
-  std::size_t round = 0;
-  std::size_t sweepsDone = 0;
-  for (;;) {
-    bool anyActive = false;
-    for (auto& session : worker.sessions) {
-      if (!session->finished()) sweepsDone += session->runSweeps(interval);
-      anyActive = anyActive || !session->finished();
-    }
-    ++round;
-    // Sweep-budget deadline, round-granular: once the job's TOTAL sweeps
-    // cross the budget, cancel — the still-active sessions wind down during
-    // the next round's sweep checks (same bound as a client CANCEL).
-    if (slot.job.deadlineSweeps > 0 &&
-        sweepsDone >= slot.job.deadlineSweeps &&
-        !slot.deadlined.load(std::memory_order_relaxed)) {
-      slot.deadlined.store(true, std::memory_order_relaxed);
-      slot.cancel.cancel();
-    }
-    if (onProgress) {
-      double best = std::numeric_limits<double>::infinity();
-      for (auto& session : worker.sessions) {
-        best = std::min(best, session->bestCost());
-      }
-      onProgress(round, sweepsDone, best);
-    }
-    if (!anyActive) break;
-  }
-
-  worker.sliceResults.clear();
-  worker.sliceResults.reserve(worker.sessions.size());
-  for (auto& session : worker.sessions) {
-    worker.sliceResults.push_back(session->finish());
-  }
-  worker.sessions.clear();
-  return reducePortfolioSlices(std::move(worker.sliceResults));
-}
-
 void ServeEngine::executeJob(Worker& worker, Slot& slot) {
   JobOutcome outcome;
   outcome.id = slot.id;
@@ -342,8 +292,14 @@ void ServeEngine::executeJob(Worker& worker, Slot& slot) {
             runner.run(parsed.circuit, slot.job.backend, options, &worker.bank)
                 .result;
       } else {
-        worker.result = runSessionRounds(worker, slot, parsed.circuit,
-                                         slot.job.backend, options);
+        // Slices advance `progressInterval` sweeps per round; the barrier
+        // applies the sweep deadline and reports progress.
+        ReplicaGrid grid(std::span(&parsed.circuit, 1),
+                         std::span(&slot.job.backend, 1), options, 1.0,
+                         options_.progressInterval, &worker.bank);
+        worker.result = reducePortfolioSlices(
+            grid.run(&worker.pool,
+                     [&slot](ReplicaGrid& g) { slot.endRound(g); }));
       }
       worker.result.seconds = computeClock.seconds();
       outcome.result = &worker.result;

@@ -19,13 +19,15 @@
 //      measures; `makeCacheKey` + fetch reuse caller buffers throughout).
 //   2. On a miss the circuit is parsed; parse failures complete the job
 //      with `JobOutcome::error`.
-//   3. Restart jobs run as per-slice `ReplicaSession`s advanced in rounds
-//      of `progressInterval` sweeps — `onProgress` fires once per round —
-//      and reduce with the shared portfolio reduction, which makes the
-//      outcome bit-identical to `PortfolioRunner::run` on the same options
-//      (the session run-to-completion contract, engine/replica_session.h).
-//      Tempering jobs route through `TemperingRunner` with the worker's
-//      scratch bank (no per-round progress; the runner is monolithic).
+//   3. Restart jobs run on the runtime layer's replica grid
+//      (runtime/replica_grid.h) as one row in rounds of `progressInterval`
+//      sweeps, on the worker's pool and scratch bank; the round barrier
+//      applies the sweep deadline and fires `onProgress` once per round.
+//      The shared portfolio reduction makes the outcome bit-identical to
+//      `PortfolioRunner::run` on the same options (the session
+//      run-to-completion contract, engine/replica_session.h).  Tempering
+//      jobs route through `TemperingRunner` with the worker's scratch bank
+//      (no per-round progress or sweep deadline).
 //   4. A successful, uncancelled result is stored in the cache; cancelled
 //      and failed runs never are (they are not pure functions of the key).
 //
@@ -164,10 +166,6 @@ class ServeEngine {
   void workerLoop(Worker& worker);
   void executeJob(Worker& worker, Slot& slot);
   void deadlineLoop();
-  EngineResult runSessionRounds(Worker& worker, Slot& slot,
-                                const Circuit& circuit,
-                                EngineBackend backend,
-                                const EngineOptions& options);
 
   ServeOptions options_;
   std::unique_ptr<ResultCache> cache_;

@@ -13,6 +13,10 @@
 //
 //     P(swap i,j) = min(1, exp((1/Ti - 1/Tj) (Ei - Ej))).
 //
+// The runner is the runtime layer's replica grid (runtime/replica_grid.h)
+// in round mode: one row — one ladder — per backend, rounds of
+// `exchangeInterval` sweeps, and the exchanges as the round barrier.
+//
 // Determinism: the exchange decisions are a pure function of
 // (round, replica seeds, costs, temperatures) — `planExchanges` below —
 // with all randomness drawn from an RNG seeded by hashing (round, seeds).
@@ -124,11 +128,12 @@ class TemperingRunner {
   /// Shared-pool mode (caller keeps ownership; numThreads is ignored).
   explicit TemperingRunner(ThreadPool* pool) : pool_(pool) {}
 
-  /// One backend, `options.numRestarts` replicas on one ladder.  An
-  /// optional TemperingScratch gives replica i persistent warm buffers
-  /// across runs (grown to the replica count on the calling thread);
-  /// `options.scratch` is ignored — one PlaceScratch cannot serve multiple
-  /// concurrent replicas.
+  /// One backend, `options.numRestarts` replicas on one ladder: exactly
+  /// `race(circuit, {backend}, options, scratch)` (one ladder has salt 0
+  /// and never cross-seeds).  An optional TemperingScratch gives replica i
+  /// persistent warm buffers across runs (grown to the replica count on
+  /// the calling thread); `options.scratch` is ignored — one PlaceScratch
+  /// cannot serve multiple concurrent replicas.
   TemperingOutcome run(const Circuit& circuit, EngineBackend backend,
                        const EngineOptions& options,
                        TemperingScratch* scratch = nullptr) const;

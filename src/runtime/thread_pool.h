@@ -82,17 +82,4 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
-/// Runs `fn(pool)` on `shared` when given, else on a pool of `numThreads`
-/// built for this one call — the shared-pool vs pool-per-run rule of every
-/// runtime-layer runner.
-template <class Fn>
-void withPool(ThreadPool* shared, std::size_t numThreads, Fn&& fn) {
-  if (shared != nullptr) {
-    fn(*shared);
-    return;
-  }
-  ThreadPool pool(numThreads);
-  fn(pool);
-}
-
 }  // namespace als

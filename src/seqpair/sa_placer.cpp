@@ -28,13 +28,6 @@ struct SeqPairDecoder {
   std::size_t n;
   SymBuildOptions buildOpts;
 
-  void markMoved(ModuleId m) {
-    if (scr.movedMark[m] != scr.movedEpoch) {
-      scr.movedMark[m] = scr.movedEpoch;
-      scr.movedList.push_back(m);
-    }
-  }
-
   const Placement* operator()(const SeqPairState& s) {
     scr.w.resize(n);
     scr.h.resize(n);
@@ -51,18 +44,12 @@ struct SeqPairDecoder {
                                      scr.sym, scr.result)) {
       return nullptr;
     }
-    for (ModuleId m : scr.tmpMoved) markMoved(m);
+    for (ModuleId m : scr.tmpMoved) scr.moved.add(m);
     return &scr.result.placement;
   }
 
-  std::span<const ModuleId> movedModules() const { return scr.movedList; }
-  void committed() {
-    scr.movedList.clear();
-    if (++scr.movedEpoch == 0) {  // epoch wrap: restamp instead of aliasing
-      scr.movedMark.assign(scr.movedMark.size(), 0);
-      scr.movedEpoch = 1;
-    }
-  }
+  std::span<const ModuleId> movedModules() const { return scr.moved.ids(); }
+  void committed() { scr.moved.reset(n); }
 };
 
 /// The SA move (same body and RNG draws as the historical lambda in
@@ -122,9 +109,7 @@ struct SeqPairProblem {
         scr(o.scratch ? *o.scratch : localScratch),
         decode{c, groups, scr, n, SymBuildOptions{}},
         merged(mergedGroup(groups)) {
-    scr.movedList.clear();
-    scr.movedMark.assign(n, 0);
-    scr.movedEpoch = 1;
+    scr.moved.reset(n);
 
     decode.buildOpts.incremental = o.incrementalDecode;
     // The O(n^2) verification is a no-op on every reachable code (the move

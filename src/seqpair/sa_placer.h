@@ -12,6 +12,7 @@
 #include "seqpair/packer.h"
 #include "seqpair/sym_placer.h"
 #include "util/cancel_token.h"
+#include "util/epoch_marks.h"
 
 namespace als {
 
@@ -23,11 +24,9 @@ struct SeqPairScratch {
   std::vector<Coord> w, h;    ///< orientation-resolved footprints
   SymPlaceScratch sym;
   SymPlacementResult result;  ///< decoded placement of the current candidate
-  // Moved-module accumulator for the hinted cost propose (epoch-dedup, see
-  // bstar/flat_placer.h for the twin) plus the per-decode staging buffer.
-  std::vector<ModuleId> movedList;
-  std::vector<std::uint32_t> movedMark;
-  std::uint32_t movedEpoch = 0;
+  /// Moved-module accumulator for the hinted cost propose, plus the
+  /// per-decode staging buffer.
+  DistinctIds moved;
   std::vector<ModuleId> tmpMoved;
 };
 

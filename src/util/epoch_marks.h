@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace als {
@@ -42,6 +43,26 @@ class EpochMarks {
  private:
   std::vector<std::uint64_t> stamp_;
   std::uint64_t epoch_ = 0;
+};
+
+/// The distinct ids added since the last reset, in first-add order — the
+/// moved-module accumulator behind the flat B*-tree and sequence-pair
+/// decoders' movedModules()/committed() contract (anneal/annealer.h).
+class DistinctIds {
+ public:
+  /// Empties the list, for ids in [0, n), in O(1).
+  void reset(std::size_t n) {
+    ids_.clear();
+    marks_.beginRound(n);
+  }
+  void add(std::size_t id) {
+    if (marks_.mark(id)) ids_.push_back(id);
+  }
+  std::span<const std::size_t> ids() const { return ids_; }
+
+ private:
+  EpochMarks marks_;
+  std::vector<std::size_t> ids_;
 };
 
 }  // namespace als

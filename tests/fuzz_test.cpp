@@ -5,15 +5,21 @@
 // ASan/UBSan).  The geometric suites check the optimized structure against
 // a brute-force oracle.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "bstar/contour.h"
 #include "bstar/pack.h"
 #include "geom/profile.h"
 #include "io/benchmark_format.h"
 #include "io/corpus.h"
+#include "io/line_stream.h"
 #include "io/serve_protocol.h"
 #include "util/rng.h"
 
@@ -515,6 +521,137 @@ TEST(ServeWireFuzz, BackendNamesRoundTripAndSoupIsRejected) {
                           "flatbstar", "hbstar\n", "0"}) {
     EXPECT_FALSE(parseBackendName(bad, parsed)) << '"' << bad << '"';
   }
+}
+
+/// One wire item: a protocol line, or a `CIRCUIT <n>` line plus n payload
+/// bytes (which may hold newlines).
+struct WireItem {
+  std::string line;
+  std::string payload;
+  bool hasPayload = false;
+};
+
+/// Streams `bytes` into one end of a socketpair from a writer thread in
+/// the given chunk sizes (the rest in one piece) and hands the other end to
+/// `read`.  The reader's fd closes before the join, so a reader that gives
+/// up early unblocks the writer.
+template <class ReadFn>
+void overSocketPair(const std::string& bytes,
+                    const std::vector<std::size_t>& chunks, ReadFn read) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread writer([&] {
+    std::size_t at = 0;
+    for (std::size_t c : chunks) {
+      const std::size_t n = std::min(c, bytes.size() - at);
+      if (!sendAll(fds[0], std::string_view(bytes).substr(at, n))) break;
+      at += n;
+      std::this_thread::yield();
+    }
+    sendAll(fds[0], std::string_view(bytes).substr(at));
+    ::shutdown(fds[0], SHUT_WR);
+  });
+  read(fds[1]);
+  ::close(fds[1]);
+  writer.join();
+  ::close(fds[0]);
+}
+
+std::vector<WireItem> readWireItems(int fd) {
+  LineReader reader(fd);
+  std::vector<WireItem> items;
+  WireItem item;
+  while (reader.readLine(item.line)) {
+    std::string_view rest = item.line;
+    std::uint64_t n = 0;
+    item.hasPayload =
+        nextToken(rest) == "CIRCUIT" && parseNum(nextToken(rest), &n);
+    if (item.hasPayload && !reader.readExact(n, item.payload)) break;
+    items.push_back(std::move(item));
+    item = {};
+  }
+  return items;
+}
+
+TEST(ServeWireFuzz, ChunkingNeverChangesLinesOrPayloads) {
+  Rng rng(211);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<WireItem> expected;
+    std::string bytes;
+    const std::size_t count = 1 + rng.index(30);
+    for (std::size_t i = 0; i < count; ++i) {
+      WireItem item;
+      const std::size_t kind = rng.index(5);
+      if (kind == 0) {
+        const std::size_t n = rng.index(3000);
+        for (std::size_t b = 0; b < n; ++b) {
+          item.payload += static_cast<char>(rng.index(256));
+        }
+        item.line = "CIRCUIT " + std::to_string(n);
+        item.hasPayload = true;
+      } else if (kind == 1 && round % 8 == 0) {
+        item.line = std::string(kMaxLineBytes, 'x');  // longest legal line
+      } else {
+        const std::size_t n = rng.index(80);
+        for (std::size_t b = 0; b < n; ++b) {
+          item.line += "OPT xyz\t019"[rng.index(11)];
+        }
+      }
+      bytes += item.line;
+      // readLine strips a '\r'; the cap counts it, so the longest line
+      // ends in a bare '\n'.
+      bytes += rng.coin() && item.line.size() < kMaxLineBytes ? "\r\n" : "\n";
+      bytes += item.payload;
+      expected.push_back(std::move(item));
+    }
+    std::vector<std::size_t> chunks;
+    for (std::size_t at = 0; at < bytes.size();) {
+      chunks.push_back(1 + rng.index(rng.coin() ? 8 : 4096));
+      at += chunks.back();
+    }
+    for (const auto& split : {std::vector<std::size_t>{}, chunks}) {
+      std::vector<WireItem> got;
+      overSocketPair(bytes, split, [&](int fd) { got = readWireItems(fd); });
+      ASSERT_EQ(got.size(), expected.size()) << "round " << round;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].line, expected[i].line) << "round " << round;
+        EXPECT_EQ(got[i].hasPayload, expected[i].hasPayload);
+        EXPECT_EQ(got[i].payload, expected[i].payload) << "round " << round;
+      }
+    }
+  }
+}
+
+TEST(ServeWireFuzz, OverlongLinesFailWithABoundedBuffer) {
+  // A newline-free megabyte: readLine gives up once the pending line passes
+  // the cap, holding at most one read chunk more.
+  const std::string endless(std::size_t{1} << 20, 'a');
+  overSocketPair(endless, {}, [](int fd) {
+    LineReader reader(fd);
+    std::string line;
+    EXPECT_FALSE(reader.readLine(line));
+    EXPECT_LE(reader.buffered(), kMaxLineBytes + 65536);
+  });
+  // One byte past the cap fails even when its newline is already buffered.
+  const std::string overlong = std::string(kMaxLineBytes + 1, 'b') + "\nOK\n";
+  overSocketPair(overlong, {}, [](int fd) {
+    LineReader reader(fd);
+    std::string line;
+    EXPECT_FALSE(reader.readLine(line));
+  });
+}
+
+TEST(ServeWireFuzz, ParseNumTakesOnlyWholeUnsignedDecimals) {
+  std::uint64_t n = 7;
+  for (const char* bad :
+       {"", "-1", "+1", "12x", " 1", "1 ", "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(parseNum(bad, &n)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(n, 7u) << "a rejected parse must not write";
+  ASSERT_TRUE(parseNum("0", &n));
+  EXPECT_EQ(n, 0u);
+  ASSERT_TRUE(parseNum("18446744073709551615", &n));
+  EXPECT_EQ(n, 18446744073709551615u);
 }
 
 }  // namespace

@@ -331,6 +331,35 @@ TEST(Tempering, SingleReplicaMatchesAPlainEngineCall) {
   }
 }
 
+// A one-backend tempering run is a one-backend race: with a single ladder
+// the exchange salt is 0 and cross-seeding never fires, so both entry
+// points agree on the result and on every replica's accounting, with
+// exchange rounds and without.
+TEST(Tempering, RunEqualsAOneBackendRace) {
+  Circuit c = makeTableICircuit(TableICircuit::ComparatorV2);
+  EngineOptions opt;
+  opt.maxSweeps = 60;
+  opt.numRestarts = 3;
+  opt.seed = 41;
+  opt.numThreads = 2;
+  opt.tempering = true;
+  opt.ladderRatio = 1.5;
+  opt.crossSeed = true;
+  TemperingRunner runner;
+  for (std::size_t interval : {std::size_t{2}, std::size_t{0}}) {
+    opt.exchangeInterval = interval;
+    for (EngineBackend backend : allBackends()) {
+      const std::string label = std::string(backendName(backend)) +
+                                " interval " + std::to_string(interval);
+      TemperingOutcome run = runner.run(c, backend, opt);
+      TemperingOutcome race = runner.race(c, std::span(&backend, 1), opt);
+      EXPECT_EQ(run.backend, race.backend) << label;
+      expectBitIdentical(run.result, race.result, label);
+      expectSameReplicas(run, race, label);
+    }
+  }
+}
+
 // The differential degeneration contract: exchanges disabled and a flat
 // ladder reproduce the independent-restart portfolio exactly, bit for bit.
 // Both knobs must be neutral — a flat ladder with exchanges on still swaps

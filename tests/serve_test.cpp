@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <cstdio>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +32,7 @@
 #include "io/serve_protocol.h"
 #include "runtime/portfolio.h"
 #include "runtime/result_cache.h"
+#include "runtime/tempering.h"
 #include "util/fault_injection.h"
 
 namespace als {
@@ -333,6 +335,55 @@ TEST(ServeEngineTest, TemperingJobsAreDeterministicAndCacheable) {
   CompletedJob hit = runJob(engine, text, EngineBackend::SeqPair, options);
   EXPECT_TRUE(hit.cacheHit);
   expectBitIdentical(hit.result, first.result, "tempering cache hit");
+}
+
+// A restart job advances its slices `progressInterval` sweeps per round; on
+// every backend and at any round length — including lengths that do not
+// divide the slice budgets — it equals the one-shot portfolio.
+TEST(ServeEngineTest, RestartJobsMatchThePortfolioAtAnyRoundLength) {
+  const std::string_view text = corpusText(CorpusCircuit::Apte);
+  EngineOptions options;
+  options.maxSweeps = 50;
+  options.numRestarts = 3;
+  options.seed = 13;
+  for (std::size_t interval : {1, 7, 32}) {
+    ServeOptions serveOpts;
+    serveOpts.workers = 1;
+    serveOpts.progressInterval = interval;
+    ServeEngine engine(serveOpts);
+    for (EngineBackend backend : allBackends()) {
+      const std::string label = std::string(backendName(backend)) +
+                                " interval " + std::to_string(interval);
+      CompletedJob job = runJob(engine, text, backend, options);
+      ASSERT_EQ(job.error, "") << label;
+      EXPECT_FALSE(job.cacheHit) << label;
+      expectBitIdentical(job.result, oracle(text, backend, options), label);
+    }
+  }
+}
+
+// A tempering job is exactly `TemperingRunner::run` on the worker's pool
+// and scratch bank, on every backend.
+TEST(ServeEngineTest, TemperingJobsMatchTheTemperingRunner) {
+  ServeOptions serveOpts;
+  serveOpts.workers = 1;
+  ServeEngine engine(serveOpts);
+  const std::string_view text = corpusText(CorpusCircuit::Apte);
+  const Circuit circuit = parseBenchmark(text).circuit;
+  EngineOptions options;
+  options.maxSweeps = 48;
+  options.numRestarts = 3;
+  options.tempering = true;
+  options.exchangeInterval = 2;
+  options.ladderRatio = 1.5;
+  options.seed = 19;
+  for (EngineBackend backend : allBackends()) {
+    CompletedJob job = runJob(engine, text, backend, options);
+    ASSERT_EQ(job.error, "") << backendName(backend);
+    expectBitIdentical(job.result,
+                       TemperingRunner().run(circuit, backend, options).result,
+                       backendName(backend));
+  }
 }
 
 TEST(ServeEngineTest, ParseFailureCompletesWithErrorAndIsNotCached) {
@@ -945,6 +996,13 @@ TEST(ServeEngineTest, SweepDeadlineIsDeterministicAndBeatenByCacheHits) {
   // event — the best-so-far snapshot is as deterministic as a full run.
   expectBitIdentical(second.result, first.result,
                      "sweep-deadlined snapshot determinism");
+  // The snapshot itself is pinned: the round loop (which slices step, how
+  // far, and where the deadline trips) may not drift.
+  char cost[32];
+  std::snprintf(cost, sizeof cost, "%.17g", first.result.cost);
+  EXPECT_STREQ(cost, "242015903278.62402");
+  EXPECT_EQ(first.result.sweeps, 64u);
+  EXPECT_EQ(first.result.movesTried, 5760u);
 
   // A cache hit beats a deadline: serving a known-complete answer costs one
   // copy, so even an absurdly tight budget reports `hit`, not `deadline`.

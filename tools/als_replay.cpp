@@ -70,6 +70,7 @@
 #include "engine/placement_engine.h"
 #include "io/benchmark_format.h"
 #include "io/corpus.h"
+#include "io/line_stream.h"
 #include "io/serve_protocol.h"
 #include "runtime/portfolio.h"
 #include "runtime/serve.h"  // ServeStats (the STATS reply's shape)
@@ -119,95 +120,7 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parseNum(const char* s, std::uint64_t* out) {
-  if (*s < '0' || *s > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
 // --- wire client ------------------------------------------------------------
-
-/// Writes all of `data` to socket `fd`.  A peer that went away is a false
-/// return, not a SIGPIPE: the harness must report a dead daemon, not die.
-bool sendAll(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-class Reader {
- public:
-  explicit Reader(int fd) : fd_(fd) {}
-  bool readLine(std::string& line) {
-    line.clear();
-    for (;;) {
-      std::size_t nl = buffer_.find('\n', pos_);
-      if (nl != std::string::npos) {
-        line.assign(buffer_, pos_, nl - pos_);
-        pos_ = nl + 1;
-        compact();
-        return true;
-      }
-      if (!fill()) return false;
-    }
-  }
-  bool readExact(std::size_t n, std::string& out) {
-    out.clear();
-    while (buffer_.size() - pos_ < n) {
-      if (!fill()) return false;
-    }
-    out.assign(buffer_, pos_, n);
-    pos_ += n;
-    compact();
-    return true;
-  }
-
- private:
-  bool fill() {
-    char chunk[65536];
-    ssize_t n;
-    do {
-      n = ::read(fd_, chunk, sizeof chunk);
-    } while (n < 0 && errno == EINTR);  // a signal is not an EOF
-    if (n <= 0) return false;
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-    return true;
-  }
-  void compact() {
-    if (pos_ > (1u << 20)) {
-      buffer_.erase(0, pos_);
-      pos_ = 0;
-    }
-  }
-  int fd_;
-  std::string buffer_;
-  std::size_t pos_ = 0;
-};
-
-std::string_view nextToken(std::string_view& rest) {
-  std::size_t a = rest.find_first_not_of(" \t");
-  if (a == std::string_view::npos) {
-    rest = {};
-    return {};
-  }
-  std::size_t b = rest.find_first_of(" \t", a);
-  std::string_view token = rest.substr(
-      a, b == std::string_view::npos ? std::string_view::npos : b - a);
-  rest = b == std::string_view::npos ? std::string_view{} : rest.substr(b);
-  return token;
-}
 
 /// One job as the replay harness describes it (circuit by corpus name; the
 /// raw text is what goes on the wire and into the cache key).
@@ -250,7 +163,7 @@ class ServeClient {
       fd_ = -1;
       return false;
     }
-    reader_ = std::make_unique<Reader>(fd_);
+    reader_ = std::make_unique<LineReader>(fd_);
     return true;
   }
   ~ServeClient() {
@@ -311,8 +224,7 @@ class ServeClient {
         nextToken(rest);  // tag
         out.status = std::string(nextToken(rest));
         std::uint64_t nbytes = 0;
-        std::string count(nextToken(rest));
-        if (!parseNum(count.c_str(), &nbytes) ||
+        if (!parseNum(nextToken(rest), &nbytes) ||
             !reader_->readExact(static_cast<std::size_t>(nbytes),
                                 out.payload) ||
             !reader_->readLine(line)) {  // DONE <tag>
@@ -336,8 +248,7 @@ class ServeClient {
     std::string_view rest = line;
     if (nextToken(rest) != "STATS") return false;
     for (std::uint64_t& slot : v) {
-      std::string word(nextToken(rest));
-      if (!parseNum(word.c_str(), &slot)) return false;
+      if (!parseNum(nextToken(rest), &slot)) return false;
     }
     out = {};
     out.submitted = v[0];
@@ -367,7 +278,7 @@ class ServeClient {
 
  private:
   int fd_ = -1;
-  std::unique_ptr<Reader> reader_;
+  std::unique_ptr<LineReader> reader_;
   std::uint64_t nextTag_ = 1;
 };
 

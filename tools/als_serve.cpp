@@ -38,6 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "io/line_stream.h"
 #include "runtime/serve.h"
 #include "util/fault_injection.h"
 
@@ -67,16 +68,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parseNum(const char* s, std::uint64_t* out) {
-  if (*s < '0' || *s > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
 std::atomic<bool> g_stop{false};
 int g_listenFd = -1;
 
@@ -97,96 +88,11 @@ struct Connection {
   std::unordered_map<std::string, std::uint64_t> tags;  ///< live tag -> job id
 };
 
-/// Writes the whole buffer; the caller must hold `writeMutex`.  Retries
-/// EINTR and short writes — a tagged reply is delivered whole or not at
-/// all, never a prefix followed by a give-up under load.  Errors (client
-/// went away) are swallowed: the job finishes either way, and SIGPIPE is
-/// ignored process-wide.
-void writeAllLocked(Connection& conn, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::write(conn.fd, data.data() + sent, data.size() - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-/// Locking wrapper: one protocol line/block at a time.
+/// Writes one protocol line/block whole.  A client that went away is
+/// ignored: the job finishes either way.
 void writeAll(Connection& conn, const std::string& data) {
   std::lock_guard<std::mutex> lock(conn.writeMutex);
-  writeAllLocked(conn, data);
-}
-
-/// Buffered reader over the connection fd: lines for the protocol, exact
-/// byte counts for CIRCUIT payloads.
-class Reader {
- public:
-  explicit Reader(int fd) : fd_(fd) {}
-
-  bool readLine(std::string& line) {
-    line.clear();
-    for (;;) {
-      std::size_t nl = buffer_.find('\n', pos_);
-      if (nl != std::string::npos) {
-        line.assign(buffer_, pos_, nl - pos_);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        pos_ = nl + 1;
-        compact();
-        return true;
-      }
-      if (!fill()) return false;
-    }
-  }
-
-  bool readExact(std::size_t n, std::string& out) {
-    out.clear();
-    while (buffer_.size() - pos_ < n) {
-      if (!fill()) return false;
-    }
-    out.assign(buffer_, pos_, n);
-    pos_ += n;
-    compact();
-    return true;
-  }
-
- private:
-  bool fill() {
-    char chunk[65536];
-    ssize_t n;
-    do {
-      n = ::read(fd_, chunk, sizeof chunk);
-    } while (n < 0 && errno == EINTR);  // a signal is not an EOF
-    if (n <= 0) return false;  // EOF or real error: connection is done
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-    return true;
-  }
-  void compact() {
-    if (pos_ > (1u << 20)) {
-      buffer_.erase(0, pos_);
-      pos_ = 0;
-    }
-  }
-
-  int fd_;
-  std::string buffer_;
-  std::size_t pos_ = 0;
-};
-
-std::string_view nextToken(std::string_view& rest) {
-  std::size_t a = rest.find_first_not_of(" \t");
-  if (a == std::string_view::npos) {
-    rest = {};
-    return {};
-  }
-  std::size_t b = rest.find_first_of(" \t", a);
-  std::string_view token = rest.substr(a, b == std::string_view::npos
-                                              ? std::string_view::npos
-                                              : b - a);
-  rest = b == std::string_view::npos ? std::string_view{} : rest.substr(b);
-  return token;
+  sendAll(conn.fd, data);
 }
 
 void appendDouble(std::string& out, double v) {
@@ -201,7 +107,7 @@ void appendDouble(std::string& out, double v) {
 /// errors (unknown backend/OPT) are reported as ERROR lines and keep the
 /// connection usable.
 bool handleJob(ServeEngine& engine, const std::shared_ptr<Connection>& conn,
-               Reader& reader, std::string_view tag,
+               LineReader& reader, std::string_view tag,
                std::string_view backendWord) {
   std::string tagStr(tag);
   EngineBackend backend = EngineBackend::FlatBStar;
@@ -228,7 +134,7 @@ bool handleJob(ServeEngine& engine, const std::shared_ptr<Connection>& conn,
       // stay out of applyJobOption and out of the cache key.
       if (key == "deadline-ms" || key == "deadline-sweeps") {
         std::uint64_t n = 0;
-        if (!parseNum(std::string(value).c_str(), &n)) {
+        if (!parseNum(value, &n)) {
           if (semanticError.empty()) {
             semanticError =
                 "bad OPT " + std::string(key) + ": nonnegative integer";
@@ -243,9 +149,8 @@ bool handleJob(ServeEngine& engine, const std::shared_ptr<Connection>& conn,
       }
     } else if (word == "CIRCUIT") {
       std::uint64_t nbytes = 0;
-      std::string count(nextToken(rest));
       // 64 MiB cap: a framing typo must not become an allocation bomb.
-      if (!parseNum(count.c_str(), &nbytes) || nbytes > (64u << 20)) {
+      if (!parseNum(nextToken(rest), &nbytes) || nbytes > (64u << 20)) {
         return false;
       }
       if (!reader.readExact(static_cast<std::size_t>(nbytes), circuitText)) {
@@ -321,12 +226,12 @@ bool handleJob(ServeEngine& engine, const std::shared_ptr<Connection>& conn,
   } else {
     reply = "REJECTED " + tagStr + " queue-full\n";
   }
-  writeAllLocked(*conn, reply);
+  sendAll(conn->fd, reply);  // under the write lock taken above
   return true;
 }
 
 void handleConnection(ServeEngine& engine, std::shared_ptr<Connection> conn) {
-  Reader reader(conn->fd);
+  LineReader reader(conn->fd);
   std::string line;
   while (reader.readLine(line)) {
     std::string_view rest = line;
