@@ -29,9 +29,13 @@
 // final cost), so the moves/sec ratio isolates the decode asymptotics —
 // and cross-checks the three LCS structures (Naive / Fenwick / Veb) as
 // full packs on one seeded move stream, which must place identically.
+// The slicing decode runs one SA-shaped Wong-Liu move stream per circuit
+// through the full evaluation (scratch invalidated before every call) and
+// the incremental one side by side; every placement pair must match.
 // JSON rows: `backend` is flat-full / flat-partial / seqpair-full /
-// seqpair-incremental (`sweeps` = moves tried) and lcs-naive / lcs-fenwick
-// / lcs-veb (`sweeps` = packs).
+// seqpair-incremental (`sweeps` = moves tried), lcs-naive / lcs-fenwick
+// / lcs-veb (`sweeps` = packs) and slicing-full / slicing-incremental
+// (`sweeps` = evaluations, `seconds` = time inside the evaluator).
 //
 // Flags: --json <path>, --smoke (small fixed counts for CI), --scaling.
 #include <cstdio>
@@ -48,6 +52,7 @@
 #include "io/corpus.h"
 #include "seqpair/packer.h"
 #include "seqpair/sa_placer.h"
+#include "slicing/polish.h"
 #include "util/bench_json.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -188,6 +193,57 @@ int runLcsStrategies(BenchIo& io, const Circuit& c, const char* name) {
   return failures;
 }
 
+/// Slicing decode on one SA-shaped move stream (Wong-Liu moves, 90%
+/// accepted): each candidate goes through the full evaluation (the scratch
+/// invalidated before the call, so every node is re-evaluated and every
+/// rect rewritten) and through the incremental one.  Records evaluations
+/// per second of each path; returns the number of diverging placements.
+int runSlicingStream(BenchIo& io, const Circuit& c, const char* name,
+                     double& fullRate, double& incRate) {
+  const std::size_t moves = io.smoke() ? 2000 : 20000;
+  const std::size_t n = c.moduleCount();
+  std::vector<Coord> w(n), h(n);
+  std::vector<bool> rotatable(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    w[m] = c.module(m).w;
+    h[m] = c.module(m).h;
+    rotatable[m] = c.module(m).rotatable;
+  }
+  Rng rng(1);
+  PolishExpr cur = PolishExpr::initial(n), cand;
+  PolishEvalScratch fullScratch, incScratch;
+  SlicedResult full, inc;
+  double fullSeconds = 0.0, incSeconds = 0.0;
+  int divergences = 0;
+  for (std::size_t k = 0; k < moves; ++k) {
+    cand = cur;
+    cand.perturb(rng);
+    Stopwatch fullClock;
+    fullScratch.invalidate();
+    evaluatePolishInto(cand, w, h, rotatable, 32, fullScratch, full);
+    fullSeconds += fullClock.seconds();
+    Stopwatch incClock;
+    evaluatePolishInto(cand, w, h, rotatable, 32, incScratch, inc);
+    incSeconds += incClock.seconds();
+    if (full.placement.rects() != inc.placement.rects() ||
+        full.width != inc.width || full.height != inc.height) {
+      ++divergences;
+    }
+    if (rng.uniform() < 0.9) std::swap(cur, cand);
+  }
+  if (divergences > 0) {
+    std::fprintf(stderr,
+                 "bench_decode: %s: incremental slicing decode DIVERGED from "
+                 "the full evaluation on %d of %zu moves\n",
+                 name, divergences, moves);
+  }
+  fullRate = movesPerSec(moves, fullSeconds);
+  incRate = movesPerSec(moves, incSeconds);
+  addRate(io, "slicing-full", name, moves, fullSeconds);
+  addRate(io, "slicing-incremental", name, moves, incSeconds);
+  return divergences;
+}
+
 /// --scaling: full vs partial/incremental decode per tree backend and LCS
 /// strategy cross-check, across the corpus size axis.  Returns the number
 /// of trajectory divergences (any nonzero is a correctness failure).
@@ -198,8 +254,9 @@ int runScaling(BenchIo& io) {
                                     CorpusCircuit::N200, CorpusCircuit::N300};
   int failures = 0;
   Table t({"circuit", "blocks", "flat full", "flat partial", "speedup",
-           "sp full", "sp incr", "speedup"});
-  double n300Flat = 0.0, n300Sp = 0.0;
+           "sp full", "sp incr", "speedup", "slice full", "slice incr",
+           "speedup"});
+  double n300Flat = 0.0, n300Sp = 0.0, n300Slice = 0.0;
   for (CorpusCircuit which : circuits) {
     const char* name = corpusName(which);
     Circuit c = loadCorpusCircuit(which);
@@ -236,6 +293,9 @@ int runScaling(BenchIo& io) {
     }
 
     failures += runLcsStrategies(io, c, name);
+    double sliceFull = 0.0, sliceInc = 0.0;
+    failures += runSlicingStream(io, c, name, sliceFull, sliceInc);
+    const double sliceSpeed = sliceFull > 0.0 ? sliceInc / sliceFull : 0.0;
 
     double flatSpeed = flatFull.seconds > 0.0 && flatPart.seconds > 0.0
                            ? movesPerSec(flatPart.movesTried, flatPart.seconds) /
@@ -248,6 +308,7 @@ int runScaling(BenchIo& io) {
     if (which == CorpusCircuit::N300) {
       n300Flat = flatSpeed;
       n300Sp = spSpeed;
+      n300Slice = sliceSpeed;
     }
     t.addRow({name, std::to_string(c.moduleCount()),
               Table::fmt(movesPerSec(flatFull.movesTried, flatFull.seconds) / 1e3, 1) + "k",
@@ -255,7 +316,10 @@ int runScaling(BenchIo& io) {
               Table::fmt(flatSpeed, 2) + "x",
               Table::fmt(movesPerSec(spFull.movesTried, spFull.seconds) / 1e3, 1) + "k",
               Table::fmt(movesPerSec(spInc.movesTried, spInc.seconds) / 1e3, 1) + "k",
-              Table::fmt(spSpeed, 2) + "x"});
+              Table::fmt(spSpeed, 2) + "x",
+              Table::fmt(sliceFull / 1e3, 1) + "k",
+              Table::fmt(sliceInc / 1e3, 1) + "k",
+              Table::fmt(sliceSpeed, 2) + "x"});
     addRate(io, "flat-full", name, flatFull.movesTried, flatFull.seconds);
     addRate(io, "flat-partial", name, flatPart.movesTried, flatPart.seconds);
     addRate(io, "seqpair-full", name, spFull.movesTried, spFull.seconds);
@@ -264,8 +328,10 @@ int runScaling(BenchIo& io) {
   t.print(std::cout);
   std::printf("\nmoves/sec, %zu sweeps per run, single thread; full = whole-"
               "placement re-decode per move, partial/incremental = suffix-"
-              "only.  n300 speedup: flat-bstar %.2fx, seqpair %.2fx\n",
-              sweeps, n300Flat, n300Sp);
+              "only; slice = Polish evaluations/sec on one move stream, "
+              "incremental = dirty nodes only.  n300 speedup: flat-bstar "
+              "%.2fx, seqpair %.2fx, slicing %.2fx\n",
+              sweeps, n300Flat, n300Sp, n300Slice);
   return failures;
 }
 

@@ -35,9 +35,10 @@ echo "=== Debug build: the assert-only bit-identity oracles ==="
 # three define NDEBUG, which compiles out the debug oracles that re-check
 # every fast decode path against a cold full decode on each call: partial
 # B*-tree repack (bstar/pack.cpp), incremental sequence-pair pack
-# (seqpair/packer.cpp), stamp-cached HB*-tree pack (bstar/hbstar.cpp) and
-# the cost model's moved-module hint (cost/cost_model.cpp).  This leg is the
-# only one that runs them.
+# (seqpair/packer.cpp), stamp-cached HB*-tree pack (bstar/hbstar.cpp),
+# incremental Polish evaluation (slicing/polish.cpp) and the cost model's
+# moved-module hint (cost/cost_model.cpp).  This leg is the only one that
+# runs them.
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-debug -j "$JOBS"
 (cd build-debug && ctest --output-on-failure -j "$JOBS")
@@ -103,9 +104,10 @@ echo "=== bench_decode --scaling: partial/incremental vs full re-decode ==="
 # The asymptotics gate: re-runs flat-bstar and seqpair on every corpus
 # circuit up to n300 with the suffix-only decode paths OFF and ON, verifies
 # the two trajectories are bit-identical (any divergence exits nonzero),
-# cross-checks all three LCS strategies as full packs on one seeded move
-# stream (any differing pack exits nonzero), and records moves/sec and
-# packs/sec rows per (path, circuit) for bench_diff.
+# cross-checks all three LCS strategies as full packs and the full vs
+# incremental slicing evaluation on one seeded move stream each (any
+# differing placement exits nonzero), and records moves/sec, packs/sec and
+# evaluations/sec rows per (path, circuit) for bench_diff.
 for rep in "" .r2 .r3; do
   ./build/bench_decode --scaling --smoke \
     --json "build/bench-smoke/bench_decode_scaling$rep.json" \

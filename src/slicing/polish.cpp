@@ -158,34 +158,78 @@ std::string PolishExpr::toString() const {
   return s;
 }
 
+namespace detail {
+
+// Stockmeyer's linear merge.  V: widths add, heights max, so the walk runs
+// by ascending w and advances the side with the larger h (only that side
+// can lower the max); H is the transpose, walking from the wide end and
+// advancing the side with the larger w.  On a tie both sides advance, so
+// every step strictly lowers the max coordinate while the summed one
+// strictly grows: the output is already a strict staircase, and no
+// dominated point needs dropping.  The walk visits every frontier pair
+// (a, b): while one index is short of its frontier value the other cannot
+// step past its own, because the shorter side still holds the larger max.
+//
+// Tie rule.  The all-pairs paretoInsert loop this replaces keeps, for each
+// frontier point, the lexicographically first (i, j) that produces it, and
+// reconstruct follows that pair.  On strict staircases a frontier point has
+// exactly one producing pair: for V, two pairs (i, j) != (i', j') with
+// equal (w, h) need i < i' and j' < j, which forces L[i].h == R[j'].h == h
+// — and then (i, j') has the same h and a smaller w, so the point was not
+// on the frontier.  (H is the transpose.)  So the merge reproduces the
+// same points with the same pairs, and trajectories stay bit-identical.
+void combineShapes(std::int32_t op, std::span<const PolishShape> ls,
+                   std::span<const PolishShape> rs,
+                   std::vector<PolishShape>& out) {
+  out.clear();
+  if (op == PolishExpr::kOpV) {
+    std::uint32_t i = 0, j = 0;
+    while (i < ls.size() && j < rs.size()) {
+      const Coord lh = ls[i].h, rh = rs[j].h;
+      out.push_back({ls[i].w + rs[j].w, std::max(lh, rh), i, j});
+      if (lh >= rh) ++i;
+      if (rh >= lh) ++j;
+    }
+  } else {
+    auto i = static_cast<std::uint32_t>(ls.size());
+    auto j = static_cast<std::uint32_t>(rs.size());
+    while (i > 0 && j > 0) {
+      const Coord lw = ls[i - 1].w, rw = rs[j - 1].w;
+      out.push_back({std::max(lw, rw), ls[i - 1].h + rs[j - 1].h, i - 1, j - 1});
+      if (lw >= rw) --i;
+      if (rw >= lw) --j;
+    }
+    std::reverse(out.begin(), out.end());
+  }
+  assert(std::adjacent_find(out.begin(), out.end(),
+                            [](const PolishShape& a, const PolishShape& b) {
+                              return a.w >= b.w || a.h <= b.h;
+                            }) == out.end());
+}
+
+}  // namespace detail
+
 namespace {
 
 using detail::PolishEvalNode;
 using detail::PolishShape;
 
-/// Insert keeping a pareto staircase sorted by w (h strictly decreasing).
-void paretoInsert(std::vector<PolishShape>& v, PolishShape s) {
-  auto it = std::lower_bound(v.begin(), v.end(), s.w,
-                             [](const PolishShape& e, Coord w) { return e.w < w; });
-  if (it != v.begin() && std::prev(it)->h <= s.h) return;
-  if (it != v.end() && it->w == s.w) {
-    if (it->h <= s.h) return;
-    *it = s;
-  } else {
-    it = v.insert(it, s);
-  }
-  auto next = std::next(it);
-  while (next != v.end() && next->h >= it->h) next = v.erase(next);
-}
-
+/// Keeps `cap` shapes of a strict staircase, evenly spread by index, plus
+/// the best-area shape; the kept points stay a strict staircase.  A cap of
+/// 1 keeps the best-area shape alone.
 void capShapes(std::vector<PolishShape>& v, std::size_t cap,
                std::vector<PolishShape>& kept) {
   if (cap == 0 || v.size() <= cap) return;
-  kept.clear();
   std::size_t bestIdx = 0;
   for (std::size_t i = 1; i < v.size(); ++i) {
     if (v[i].w * v[i].h < v[bestIdx].w * v[bestIdx].h) bestIdx = i;
   }
+  if (cap == 1) {
+    v[0] = v[bestIdx];
+    v.resize(1);
+    return;
+  }
+  kept.clear();
   for (std::size_t k = 0; k < cap; ++k) {
     kept.push_back(v[k * (v.size() - 1) / (cap - 1)]);
   }
@@ -196,25 +240,121 @@ void capShapes(std::vector<PolishShape>& v, std::size_t cap,
   if (!hasBest) kept[cap / 2] = v[bestIdx];
   std::sort(kept.begin(), kept.end(),
             [](const PolishShape& a, const PolishShape& b) { return a.w < b.w; });
-  v.clear();
-  for (const PolishShape& s : kept) paretoInsert(v, s);
+  v.assign(kept.begin(), kept.end());
 }
 
-void reconstruct(const std::vector<PolishEvalNode>& nodes, std::size_t nodeIdx,
-                 std::uint32_t shapeIdx, Coord x, Coord y, Placement& out) {
-  const PolishEvalNode& node = nodes[nodeIdx];
+/// Writes the subtree of `nodeIdx` realized as shape `shapeIdx` at (x, y).
+/// With `reuse`, a clean node anchored as in the last reconstruct into the
+/// same buffer is skipped: its subtree and its rects in `out` are unchanged.
+void reconstruct(std::vector<PolishEvalNode>& nodes, std::size_t nodeIdx,
+                 std::uint32_t shapeIdx, Coord x, Coord y, bool reuse,
+                 Placement& out) {
+  PolishEvalNode& node = nodes[nodeIdx];
+  if (reuse && !node.dirty && node.placedShape == shapeIdx &&
+      node.placedX == x && node.placedY == y) {
+    return;
+  }
+  node.placedShape = shapeIdx;
+  node.placedX = x;
+  node.placedY = y;
   const PolishShape& s = node.shapes[shapeIdx];
   if (node.elem >= 0) {
     out[static_cast<std::size_t>(node.elem)] = {x, y, s.w, s.h};
     return;
   }
   const PolishShape& ls = nodes[node.left].shapes[s.li];
-  reconstruct(nodes, node.left, s.li, x, y, out);
+  reconstruct(nodes, node.left, s.li, x, y, reuse, out);
   if (node.elem == PolishExpr::kOpV) {
-    reconstruct(nodes, node.right, s.ri, x + ls.w, y, out);
+    reconstruct(nodes, node.right, s.ri, x + ls.w, y, reuse, out);
   } else {
-    reconstruct(nodes, node.right, s.ri, x, y + ls.h, out);
+    reconstruct(nodes, node.right, s.ri, x, y + ls.h, reuse, out);
   }
+}
+
+void evaluateIncremental(const PolishExpr& expr, std::span<const Coord> widths,
+                         std::span<const Coord> heights,
+                         const std::vector<bool>& rotatable,
+                         std::size_t shapeCap, PolishEvalScratch& scratch,
+                         SlicedResult& out) {
+  const std::size_t n = expr.moduleCount();
+  if (n == 0) {
+    out.placement.clear();
+    out.width = 0;
+    out.height = 0;
+    scratch.invalidate();
+    return;
+  }
+  assert(expr.isValid());
+
+  const std::vector<std::int32_t>& elems = expr.elements();
+  // Node slots are reused index-for-index: growing never shrinks, so each
+  // slot's shapes vector keeps the capacity it reached — the steady state
+  // of an anneal (constant expression length) allocates nothing.
+  if (scratch.nodes.size() < elems.size()) scratch.nodes.resize(elems.size());
+  const bool allDirty = !scratch.warm || scratch.length != elems.size() ||
+                        scratch.shapeCap != shapeCap;
+  std::vector<std::size_t>& stack = scratch.stack;
+  stack.clear();
+
+  for (std::size_t idx = 0; idx < elems.size(); ++idx) {
+    const std::int32_t e = elems[idx];
+    PolishEvalNode& node = scratch.nodes[idx];
+    if (e >= 0) {
+      const auto m = static_cast<std::size_t>(e);
+      const Coord w = widths[m], h = heights[m];
+      const bool rot = rotatable[m];
+      node.dirty = allDirty || node.elem != e || node.leafW != w ||
+                   node.leafH != h || node.leafRotatable != rot;
+      if (node.dirty) {
+        node.elem = e;
+        node.leafW = w;
+        node.leafH = h;
+        node.leafRotatable = rot;
+        // The (at most two) orientations as a staircase sorted by w.
+        node.shapes.clear();
+        if (rot && h < w) node.shapes.push_back({h, w, 1, 0});
+        node.shapes.push_back({w, h, 0, 0});
+        if (rot && w < h) node.shapes.push_back({h, w, 1, 0});
+      }
+    } else {
+      const std::size_t right = stack.back();
+      stack.pop_back();
+      const std::size_t left = stack.back();
+      stack.pop_back();
+      node.dirty = allDirty || node.elem != e || node.left != left ||
+                   node.right != right || scratch.nodes[left].dirty ||
+                   scratch.nodes[right].dirty;
+      if (node.dirty) {
+        node.elem = e;
+        node.left = left;
+        node.right = right;
+        detail::combineShapes(e, scratch.nodes[left].shapes,
+                              scratch.nodes[right].shapes, node.shapes);
+        capShapes(node.shapes, shapeCap, scratch.capKept);
+      }
+    }
+    stack.push_back(idx);
+  }
+  assert(stack.size() == 1);
+  scratch.warm = true;
+  scratch.length = elems.size();
+  scratch.shapeCap = shapeCap;
+
+  const std::size_t root = stack.back();
+  const auto& rootShapes = scratch.nodes[root].shapes;
+  std::uint32_t best = 0;
+  for (std::uint32_t i = 1; i < rootShapes.size(); ++i) {
+    if (rootShapes[i].w * rootShapes[i].h < rootShapes[best].w * rootShapes[best].h) {
+      best = i;
+    }
+  }
+  const bool reuse = out.placement.size() == n &&
+                     out.placement.rects().data() == scratch.placed;
+  if (!reuse) out.placement.assign(n);
+  reconstruct(scratch.nodes, root, best, 0, 0, reuse, out.placement);
+  scratch.placed = out.placement.rects().data();
+  out.width = rootShapes[best].w;
+  out.height = rootShapes[best].h;
 }
 
 }  // namespace
@@ -225,7 +365,8 @@ SlicedResult evaluatePolish(const PolishExpr& expr, std::span<const Coord> width
                             std::size_t shapeCap) {
   PolishEvalScratch scratch;
   SlicedResult result;
-  evaluatePolishInto(expr, widths, heights, rotatable, shapeCap, scratch, result);
+  evaluateIncremental(expr, widths, heights, rotatable, shapeCap, scratch,
+                      result);
   return result;
 }
 
@@ -234,68 +375,20 @@ void evaluatePolishInto(const PolishExpr& expr, std::span<const Coord> widths,
                         const std::vector<bool>& rotatable,
                         std::size_t shapeCap, PolishEvalScratch& scratch,
                         SlicedResult& out) {
-  out.placement.clear();
-  out.width = 0;
-  out.height = 0;
-  if (expr.moduleCount() == 0) return;
-  assert(expr.isValid());
+  evaluateIncremental(expr, widths, heights, rotatable, shapeCap, scratch, out);
 
-  const std::vector<std::int32_t>& elems = expr.elements();
-  // Node slots are reused index-for-index: growing never shrinks, so each
-  // slot's shapes vector keeps the capacity it reached — the steady state
-  // of an anneal (constant expression length) allocates nothing.
-  if (scratch.nodes.size() < elems.size()) scratch.nodes.resize(elems.size());
-  std::vector<std::size_t>& stack = scratch.stack;
-  stack.clear();
-
-  for (std::size_t idx = 0; idx < elems.size(); ++idx) {
-    std::int32_t e = elems[idx];
-    PolishEvalNode& node = scratch.nodes[idx];
-    node.elem = e;
-    node.left = node.right = static_cast<std::size_t>(-1);
-    node.shapes.clear();
-    if (e >= 0) {
-      auto m = static_cast<std::size_t>(e);
-      node.shapes.push_back({widths[m], heights[m], 0, 0});
-      if (rotatable[m] && widths[m] != heights[m]) {
-        paretoInsert(node.shapes, {heights[m], widths[m], 1, 0});
-      }
-    } else {
-      node.right = stack.back();
-      stack.pop_back();
-      node.left = stack.back();
-      stack.pop_back();
-      const auto& ls = scratch.nodes[node.left].shapes;
-      const auto& rs = scratch.nodes[node.right].shapes;
-      for (std::uint32_t i = 0; i < ls.size(); ++i) {
-        for (std::uint32_t j = 0; j < rs.size(); ++j) {
-          if (e == PolishExpr::kOpV) {
-            paretoInsert(node.shapes,
-                         {ls[i].w + rs[j].w, std::max(ls[i].h, rs[j].h), i, j});
-          } else {
-            paretoInsert(node.shapes,
-                         {std::max(ls[i].w, rs[j].w), ls[i].h + rs[j].h, i, j});
-          }
-        }
-      }
-      capShapes(node.shapes, shapeCap, scratch.capKept);
-    }
-    stack.push_back(idx);
+#ifndef NDEBUG
+  {  // Debug oracle: the incremental evaluation must equal a cold one.
+    thread_local PolishEvalScratch oracleScratch;
+    thread_local SlicedResult oracle;
+    oracleScratch.invalidate();
+    evaluateIncremental(expr, widths, heights, rotatable, shapeCap,
+                        oracleScratch, oracle);
+    assert(out.placement.rects() == oracle.placement.rects() &&
+           "incremental Polish evaluation diverged from a full one");
+    assert(out.width == oracle.width && out.height == oracle.height);
   }
-  assert(stack.size() == 1);
-
-  const std::size_t root = stack.back();
-  const auto& rootShapes = scratch.nodes[root].shapes;
-  std::uint32_t best = 0;
-  for (std::uint32_t i = 1; i < rootShapes.size(); ++i) {
-    if (rootShapes[i].w * rootShapes[i].h < rootShapes[best].w * rootShapes[best].h) {
-      best = i;
-    }
-  }
-  out.placement.assign(expr.moduleCount());
-  reconstruct(scratch.nodes, root, best, 0, 0, out.placement);
-  out.width = rootShapes[best].w;
-  out.height = rootShapes[best].h;
+#endif
 }
 
 }  // namespace als

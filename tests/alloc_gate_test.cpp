@@ -33,6 +33,7 @@
 #include "runtime/tempering.h"
 #include "seqpair/from_placement.h"
 #include "seqpair/sa_placer.h"
+#include "slicing/polish.h"
 #include "util/rng.h"
 
 namespace {
@@ -345,6 +346,47 @@ TEST(AllocGateBStar, WarmPartialRepackDoesNotAllocate) {
   }
   EXPECT_EQ(gAllocCount.load(std::memory_order_relaxed) - before, 0u)
       << "a warm partial repack allocates";
+}
+
+// The incremental Polish evaluation at the evaluator: a warm scratch that
+// replays a seeded SA-shaped move stream (90% accepted, a rejected move
+// reverts) allocates nothing.  The first pass grows every node's shape
+// list to the high-water size the stream reaches at that position; the
+// replay meets the same states, so the same sizes, from a scratch whose
+// remembered evaluation is the first pass's last state.
+TEST(AllocGateSlicing, WarmIncrementalEvaluateDoesNotAllocate) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "debug asserts re-validate encodings (allocating); the "
+                  "gate targets Release builds";
+#endif
+  const Circuit circuit = loadCorpusCircuit(CorpusCircuit::N100);
+  const std::size_t n = circuit.moduleCount();
+  std::vector<Coord> w(n), h(n);
+  std::vector<bool> rotatable(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    w[m] = circuit.module(m).w;
+    h[m] = circuit.module(m).h;
+    rotatable[m] = circuit.module(m).rotatable;
+  }
+  PolishEvalScratch scratch;
+  SlicedResult out;
+  const PolishExpr start = PolishExpr::initial(n);
+  PolishExpr cur, cand;
+  auto pass = [&] {
+    Rng rng(8);
+    cur = start;  // copy-assign: reuses cur's storage
+    for (int k = 0; k < 512; ++k) {
+      cand = cur;
+      cand.perturb(rng);
+      evaluatePolishInto(cand, w, h, rotatable, 32, scratch, out);
+      if (rng.uniform() < 0.9) std::swap(cur, cand);
+    }
+  };
+  pass();  // warm: every buffer grows to the stream's high-water capacity
+  const unsigned long long before = gAllocCount.load(std::memory_order_relaxed);
+  pass();
+  EXPECT_EQ(gAllocCount.load(std::memory_order_relaxed) - before, 0u)
+      << "a warm incremental Polish evaluation allocates";
 }
 
 // The serve layer's steady-state loop (runtime/serve.h): a warm cache hit

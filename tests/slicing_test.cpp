@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "io/corpus.h"
 #include "netlist/generators.h"
 #include "slicing/polish.h"
 #include "slicing/slicing_placer.h"
@@ -108,6 +111,177 @@ TEST(EvaluatePolish, ShapeCurveOptimalForThreeModules) {
     best = std::min(best, evaluatePolish(e, w, h, rot).area());
   }
   EXPECT_EQ(best, 48);  // 12 x 4 row
+}
+
+/// The all-pairs combine the linear merge replaced, kept here as its
+/// oracle: insert every (i, j) in lexicographic order into a staircase
+/// sorted by w (h strictly decreasing); an equal point keeps the first pair.
+void paretoInsert(std::vector<detail::PolishShape>& v, detail::PolishShape s) {
+  auto it = std::lower_bound(
+      v.begin(), v.end(), s.w,
+      [](const detail::PolishShape& e, Coord w) { return e.w < w; });
+  if (it != v.begin() && std::prev(it)->h <= s.h) return;
+  if (it != v.end() && it->w == s.w) {
+    if (it->h <= s.h) return;
+    *it = s;
+  } else {
+    it = v.insert(it, s);
+  }
+  auto next = std::next(it);
+  while (next != v.end() && next->h >= it->h) next = v.erase(next);
+}
+
+std::vector<detail::PolishShape> allPairsCombine(
+    std::int32_t op, const std::vector<detail::PolishShape>& ls,
+    const std::vector<detail::PolishShape>& rs) {
+  std::vector<detail::PolishShape> out;
+  for (std::uint32_t i = 0; i < ls.size(); ++i) {
+    for (std::uint32_t j = 0; j < rs.size(); ++j) {
+      if (op == PolishExpr::kOpV) {
+        paretoInsert(out, {ls[i].w + rs[j].w, std::max(ls[i].h, rs[j].h), i, j});
+      } else {
+        paretoInsert(out, {std::max(ls[i].w, rs[j].w), ls[i].h + rs[j].h, i, j});
+      }
+    }
+  }
+  return out;
+}
+
+/// A random strict staircase over a small coordinate range, so two
+/// staircases share widths and heights often (the tie cases).
+std::vector<detail::PolishShape> randomStaircase(Rng& rng) {
+  const std::size_t len = 1 + rng.index(6);
+  std::vector<Coord> ws, hs;
+  for (Coord v = 1; v <= 10; ++v) {
+    ws.push_back(v);
+    hs.push_back(v);
+  }
+  for (std::size_t k = 0; k < ws.size(); ++k) {
+    std::swap(ws[k], ws[k + rng.index(ws.size() - k)]);
+    std::swap(hs[k], hs[k + rng.index(hs.size() - k)]);
+  }
+  ws.resize(len);
+  hs.resize(len);
+  std::sort(ws.begin(), ws.end());
+  std::sort(hs.begin(), hs.end(), std::greater<>());
+  std::vector<detail::PolishShape> v;
+  for (std::size_t k = 0; k < len; ++k) v.push_back({ws[k], hs[k], 0, 0});
+  return v;
+}
+
+TEST(EvaluatePolish, LinearMergeMatchesAllPairsInsert) {
+  Rng rng(17);
+  std::vector<detail::PolishShape> merged;
+  std::size_t ties = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const auto ls = randomStaircase(rng);
+    const auto rs = randomStaircase(rng);
+    for (const auto& a : ls) {
+      for (const auto& b : rs) ties += (a.w == b.w) + (a.h == b.h);
+    }
+    for (std::int32_t op : {PolishExpr::kOpV, PolishExpr::kOpH}) {
+      detail::combineShapes(op, ls, rs, merged);
+      const auto expected = allPairsCombine(op, ls, rs);
+      ASSERT_EQ(merged.size(), expected.size()) << "round " << round;
+      for (std::size_t k = 0; k < merged.size(); ++k) {
+        EXPECT_EQ(merged[k].w, expected[k].w) << "round " << round;
+        EXPECT_EQ(merged[k].h, expected[k].h) << "round " << round;
+        EXPECT_EQ(merged[k].li, expected[k].li) << "round " << round;
+        EXPECT_EQ(merged[k].ri, expected[k].ri) << "round " << round;
+      }
+    }
+  }
+  EXPECT_GT(ties, 1000u);  // the tie cases were exercised
+}
+
+/// One scratch and one output buffer reused across every corpus circuit
+/// (different n) on an SA-shaped stream: Wong-Liu moves accepted 90% of
+/// the time (a rejected one decodes the reverted state), leaf-dim changes
+/// from shape curves, rotatable toggles, `shapeCap` cycling through 1, 2,
+/// 32 and 0, and a far-away "best" state decoded between candidates — into
+/// the same output buffer, and at times into a second one, which the next
+/// call on the first buffer must not mistake for its own last decode.
+/// Every warm evaluation must equal a fresh one.
+TEST(EvaluatePolish, WarmScratchMatchesFreshEvaluationOnCorpus) {
+  PolishEvalScratch scratch;
+  SlicedResult warm, side;
+  const std::size_t caps[] = {1, 2, 32, 0};
+  std::vector<CorpusCircuit> corpus = allCorpusCircuits();
+  for (CorpusCircuit which : largeCorpusCircuits()) corpus.push_back(which);
+  for (CorpusCircuit which : corpus) {
+    const Circuit c = loadCorpusCircuit(which);
+    const std::size_t n = c.moduleCount();
+    std::vector<Coord> w(n), h(n);
+    std::vector<bool> rot(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      w[m] = c.module(m).w;
+      h[m] = c.module(m).h;
+      rot[m] = c.module(m).rotatable;
+    }
+    Rng rng(23);
+    PolishExpr cur = PolishExpr::initial(n);
+    PolishExpr best = cur;
+    std::size_t cap = 32;
+    auto check = [&](const PolishExpr& e, int move, const char* what,
+                     SlicedResult& out) {
+      evaluatePolishInto(e, w, h, rot, cap, scratch, out);
+      const SlicedResult fresh = evaluatePolish(e, w, h, rot, cap);
+      ASSERT_TRUE(out.placement.rects() == fresh.placement.rects())
+          << corpusName(which) << " move " << move << " (" << what << ")";
+      ASSERT_EQ(out.width, fresh.width) << corpusName(which) << " " << move;
+      ASSERT_EQ(out.height, fresh.height) << corpusName(which) << " " << move;
+    };
+    for (int move = 0; move < 10000; ++move) {
+      const double r = rng.uniform();
+      if (r < 0.05) {  // a shape-curve move: new leaf dims
+        const std::size_t m = rng.index(n);
+        const Module& mod = c.module(m);
+        if (mod.shapes.size() > 1) {
+          const ModuleShape& s = mod.shapes[rng.index(mod.shapes.size())];
+          w[m] = s.w;
+          h[m] = s.h;
+        } else {
+          w[m] = rng.coin() ? mod.w : mod.w + 1 + rng.index(3);
+          h[m] = rng.coin() ? mod.h : mod.h + 1 + rng.index(3);
+        }
+      } else if (r < 0.08) {
+        const std::size_t m = rng.index(n);
+        rot[m] = !rot[m];
+      } else if (r < 0.09) {
+        cap = caps[rng.index(4)];
+      }
+      PolishExpr cand = cur;
+      cand.perturb(rng);
+      ASSERT_NO_FATAL_FAILURE(check(cand, move, "candidate", warm));
+      if (rng.uniform() < 0.9) {
+        cur = cand;
+      } else {
+        ASSERT_NO_FATAL_FAILURE(check(cur, move, "reverted", warm));
+      }
+      if (move % 97 == 0) {
+        ASSERT_NO_FATAL_FAILURE(check(best, move, "best", warm));
+      } else if (move % 89 == 0) {
+        ASSERT_NO_FATAL_FAILURE(check(best, move, "best, second buffer", side));
+      }
+      if (move % 1000 == 0) best = cur;
+    }
+  }
+}
+
+TEST(EvaluatePolish, ShapeCapOneKeepsTheBestAreaShape) {
+  // Four rotatable modules give every subtree several pareto shapes; a cap
+  // of 1 keeps each subtree's best-area shape alone (it used to divide by
+  // cap - 1 = 0).
+  std::vector<Coord> w{10, 6, 3, 8}, h{4, 8, 9, 2};
+  std::vector<bool> rot(4, true);
+  Rng rng(4);
+  PolishExpr e = PolishExpr::initial(4);
+  for (int step = 0; step < 50; ++step) {
+    e.perturb(rng);
+    const SlicedResult one = evaluatePolish(e, w, h, rot, 1);
+    EXPECT_TRUE(one.placement.isLegal()) << e.toString();
+    EXPECT_GE(one.area(), evaluatePolish(e, w, h, rot, 0).area());
+  }
 }
 
 TEST(SlicingPlacer, AnnealsLegally) {

@@ -18,7 +18,8 @@
 //   scaling   full vs partial/incremental end-to-end move rate for the
 //             flat B*-tree and sequence-pair backends up to n300 (the
 //             `flat-full`/`flat-partial`/`seqpair-full`/
-//             `seqpair-incremental` rows)
+//             `seqpair-incremental` rows), and the full vs incremental
+//             slicing evaluation rate (`slicing-full`/`slicing-incremental`)
 //
 // Default mode rewrites README.md in place; --check (the CI leg) exits
 // nonzero if the committed tables differ from what the baseline says,
@@ -110,8 +111,8 @@ std::string decodeTable(const std::map<std::string, Rate>& pairs) {
 std::string scalingTable(const std::map<std::string, Rate>& pairs) {
   std::string out =
       "| circuit | blocks | flat full | flat partial | speedup | sp full | "
-      "sp incr | speedup |\n"
-      "|---|---|---|---|---|---|---|---|\n";
+      "sp incr | speedup | slice full | slice incr | speedup |\n"
+      "|---|---|---|---|---|---|---|---|---|---|---|\n";
   for (const char* circuit :
        {"apte", "ami33", "ami49", "n100", "n200", "n300"}) {
     auto cell = [&](const char* backend) {
@@ -120,13 +121,17 @@ std::string scalingTable(const std::map<std::string, Rate>& pairs) {
     };
     double flatFull = cell("flat-full"), flatPartial = cell("flat-partial");
     double spFull = cell("seqpair-full"), spIncr = cell("seqpair-incremental");
-    if (flatFull == 0.0 && spFull == 0.0) continue;
+    double sliceFull = cell("slicing-full");
+    double sliceIncr = cell("slicing-incremental");
+    if (flatFull == 0.0 && spFull == 0.0 && sliceFull == 0.0) continue;
     out += "| " + std::string(circuit) + " | " +
            std::to_string(blockCount(circuit)) + " | " + fmtK(flatFull, 1) +
            " | " + fmtK(flatPartial, 1) + " | " +
            fmtX(flatFull > 0.0 ? flatPartial / flatFull : 0.0, 2) + " | " +
            fmtK(spFull, 1) + " | " + fmtK(spIncr, 1) + " | " +
-           fmtX(spFull > 0.0 ? spIncr / spFull : 0.0, 2) + " |\n";
+           fmtX(spFull > 0.0 ? spIncr / spFull : 0.0, 2) + " | " +
+           fmtK(sliceFull, 1) + " | " + fmtK(sliceIncr, 1) + " | " +
+           fmtX(sliceFull > 0.0 ? sliceIncr / sliceFull : 0.0, 2) + " |\n";
   }
   return out;
 }
